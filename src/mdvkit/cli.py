@@ -9,11 +9,9 @@ from __future__ import annotations
 import argparse
 import sys
 
-import numpy as np
-
 from . import scenario as scn_mod
 from . import verify
-from .displacement import DEFAULT_MAX_ITER, DEFAULT_TOL, minimal_displacement
+from .displacement import minimal_displacement
 from .errors import NumericalError, ValidationError
 
 EXIT_OK = 0
@@ -73,14 +71,11 @@ def cmd_estimate(args) -> int:
     if not scn.operators:
         raise ValidationError(f"{args.scenario}: scenario defines no operators")
     seed = scn.seed if args.seed is None else args.seed
-    tol = args.tol if args.tol is not None else float(scn.estimator.get("tol", DEFAULT_TOL))
-    max_iter = args.max_iter if args.max_iter is not None \
-        else int(scn.estimator.get("max_iter", DEFAULT_MAX_ITER))
-    x0_node = scn.estimator.get("x0")
+    tol = scn.tol if args.tol is None else args.tol
+    max_iter = scn.max_iter if args.max_iter is None else args.max_iter
     entries = []
     for i, op in enumerate(scn.operators):
-        x0 = None if x0_node is None else np.asarray(x0_node, dtype=float)
-        est = minimal_displacement(op, x0=x0, max_iter=max_iter, tol=tol)
+        est = minimal_displacement(op, x0=scn.x0, max_iter=max_iter, tol=tol)
         entries.append(scn_mod.estimate_to_dict(f"op[{i}]", est))
     _emit(scn_mod.estimate_payload(scn.name, seed, entries), args.format, args.out)
     return EXIT_OK

@@ -5,7 +5,7 @@ class ValidationError(ValueError):
     """An input violates a documented precondition or structural invariant."""
 
 
-class UnsupportedOperatorError(ValueError):
+class UnsupportedOperatorError(ValidationError):
     """An exact-affine code path received an operator that does not flatten."""
 
 

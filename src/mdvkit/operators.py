@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import NumericalError, ValidationError
 from .numeric import as_matrix, as_vector
-from .sets import AffineSet, ConvexSet, Singleton
+from .sets import ConvexSet
 
 #: Spectral-norm slack accepted when validating nonexpansiveness.
 NORM_TOL = 1e-10
@@ -149,6 +149,10 @@ class Operator:
     def _regularity(self) -> Regularity:  # pragma: no cover - abstract
         raise NotImplementedError
 
+    def _affine_pair(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """``(M, b)`` with ``self(x) == M @ x + b``, or None when not affine."""
+        return None
+
 
 class AffineMap(Operator):
     """Affine map ``x -> Mx + b`` with spectral norm of M at most one."""
@@ -179,6 +183,9 @@ class AffineMap(Operator):
     def _apply(self, x):
         return self.M @ x + self.b
 
+    def _affine_pair(self):
+        return self.M, self.b
+
     def _regularity(self):
         alpha = minimal_averagedness(self.M)
         if alpha is None:
@@ -200,6 +207,9 @@ class SetProjector(Operator):
 
     def _apply(self, x):
         return self.set._project(x)
+
+    def _affine_pair(self):
+        return self.set._affine_projection()
 
     def _regularity(self):
         return Regularity.firmly()
@@ -246,6 +256,9 @@ class GradientStep(Operator):
     def _apply(self, x):
         return x - self.step * (self.Q @ x + self.q)
 
+    def _affine_pair(self):
+        return np.eye(self.dim) - self.step * self.Q, -self.step * self.q
+
     def _regularity(self):
         sl = self.step * self.lipschitz
         if sl >= 2.0 - 1e-12:
@@ -275,6 +288,9 @@ class Resolvent(Operator):
     def _apply(self, x):
         return self._K @ x - self._Kq
 
+    def _affine_pair(self):
+        return self._K, -self._Kq
+
     def _regularity(self):
         return Regularity.firmly()
 
@@ -297,6 +313,10 @@ class ReflectedResolvent(Operator):
     def _apply(self, x):
         # Exactly 2 J x - x, sharing the resolvent's arithmetic.
         return 2.0 * self.resolvent._apply(x) - x
+
+    def _affine_pair(self):
+        J = self.resolvent
+        return 2.0 * J._K - np.eye(self.dim), -2.0 * J._Kq
 
     def _regularity(self):
         mu, exact = cocoercivity_modulus(self.operator)
@@ -327,6 +347,15 @@ class Composition(Operator):
         for p in self.parts:
             x = p._apply(x)
         return x
+
+    def _affine_pair(self):
+        pairs = [p._affine_pair() for p in self.parts]
+        if any(pair is None for pair in pairs):
+            return None
+        M, b = np.eye(self.dim), np.zeros(self.dim)
+        for Mp, bp in pairs:
+            M, b = Mp @ M, Mp @ b + bp
+        return M, b
 
     def _regularity(self):
         regs = [p.regularity() for p in self.parts]
@@ -372,6 +401,16 @@ class ConvexCombination(Operator):
         for w, p in zip(self.weights[1:], self.parts[1:]):
             out += w * p._apply(x)
         return out
+
+    def _affine_pair(self):
+        pairs = [p._affine_pair() for p in self.parts]
+        if any(pair is None for pair in pairs):
+            return None
+        M, b = np.zeros((self.dim, self.dim)), np.zeros(self.dim)
+        for w, (Mp, bp) in zip(self.weights, pairs):
+            M += w * Mp
+            b += w * bp
+        return M, b
 
     def _regularity(self):
         regs = [p.regularity() for p in self.parts]
@@ -463,7 +502,7 @@ def flatten_to_affine(T: Operator) -> AffineMap | None:
     if isinstance(T, AffineMap):
         T._flat_cache = T
         return T
-    pair = _flatten_pair(T)
+    pair = T._affine_pair()
     if pair is None:
         flat = None
     else:
@@ -481,46 +520,3 @@ def flatten_to_affine(T: Operator) -> AffineMap | None:
     T._flat_cache = flat
     return flat
 
-
-def _flatten_pair(T: Operator) -> tuple[np.ndarray, np.ndarray] | None:
-    if isinstance(T, AffineMap):
-        return T.M, T.b
-    if isinstance(T, GradientStep):
-        return np.eye(T.dim) - T.step * T.Q, -T.step * T.q
-    if isinstance(T, Resolvent):
-        return T._K, -T._Kq
-    if isinstance(T, ReflectedResolvent):
-        J = T.resolvent
-        return 2.0 * J._K - np.eye(T.dim), -2.0 * J._Kq
-    if isinstance(T, SetProjector):
-        s = T.set
-        if isinstance(s, Singleton):
-            return np.zeros((T.dim, T.dim)), s.point.copy()
-        if isinstance(s, AffineSet):
-            B = s.subspace.basis
-            P = B @ B.T
-            return P, s.subspace.base - P @ s.subspace.base
-        return None
-    if isinstance(T, Composition):
-        M = np.eye(T.dim)
-        b = np.zeros(T.dim)
-        for part in T.parts:
-            pair = _flatten_pair(part)
-            if pair is None:
-                return None
-            Mp, bp = pair
-            M = Mp @ M
-            b = Mp @ b + bp
-        return M, b
-    if isinstance(T, ConvexCombination):
-        M = np.zeros((T.dim, T.dim))
-        b = np.zeros(T.dim)
-        for w, part in zip(T.weights, T.parts):
-            pair = _flatten_pair(part)
-            if pair is None:
-                return None
-            Mp, bp = pair
-            M += w * Mp
-            b += w * bp
-        return M, b
-    raise ValidationError(f"unknown operator variant {type(T).__name__}")

@@ -1,5 +1,9 @@
 """Scenario and report files: schema parsing, deterministic JSON, atomic writes.
 
+Each scenario grammar (operators, sets, checks) is one table of kinds and
+their fields; every value read passes through a typed parser whose errors
+begin with the node's path.
+
 Every floating-point number in a report is serialized as a decimal string with
 17 significant digits, which round-trips float64 exactly; reports carry no
 timestamps, so identical inputs produce byte-identical files.
@@ -13,6 +17,8 @@ import json
 import os
 import tempfile
 from dataclasses import dataclass, field
+from functools import partial
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -30,7 +36,6 @@ from .operators import (
     ReflectedResolvent,
     Resolvent,
     SetProjector,
-    cocoercivity_modulus,
 )
 from .sets import AffineSet, Ball, Box, ConvexSet, Halfspace, Singleton
 
@@ -63,177 +68,256 @@ def _fail(path: str, message: str):
     raise ValidationError(f"{path}: {message}")
 
 
-def _get_number(node, path) -> float:
+# ---------------------------------------------------------------------------
+# Typed parsers ``(node, path, dim)``, ``dim`` ignored where no size applies;
+# an absent field arrives as None, which only ``_optional`` accepts.
+
+_NUMBER_TYPES = frozenset({int, float})  # bool is an int subclass, not a number here
+
+
+def _number(node, path, dim=None) -> float:
     if isinstance(node, bool) or not isinstance(node, (int, float)):
         _fail(path, f"expected a number, got {type(node).__name__}")
-    value = float(node)
+    try:
+        value = float(node)
+    except OverflowError:  # an integer beyond the float range
+        value = np.inf
     if not np.isfinite(value):
         _fail(path, "number must be finite")
     return value
 
 
-def _get_vector(node, path, dim=None) -> np.ndarray:
+def _positive(node, path, dim=None) -> float:
+    if (value := _number(node, path)) <= 0.0:
+        _fail(path, "must be positive")
+    return value
+
+
+def _integer(node, path, dim=None, least=None) -> int:
+    if isinstance(node, bool) or not isinstance(node, int) or least is not None and node < least:
+        _fail(path, "expected an integer" + ("" if least is None else f" of at least {least}"))
+    return node
+
+
+_count = partial(_integer, least=1)
+
+
+def _integers(node, path, dim=None) -> list[int]:
     if not isinstance(node, list) or not node:
-        _fail(path, "expected a nonempty array of numbers")
-    vec = np.array([_get_number(v, f"{path}[{i}]") for i, v in enumerate(node)])
-    if dim is not None and vec.size != dim:
+        _fail(path, "must be a nonempty array of integers")
+    return [_integer(v, f"{path}[{i}]") for i, v in enumerate(node)]
+
+
+def _numbers(node, path, dim=None, ndim=1) -> np.ndarray:
+    """A nonempty regular nest of finite numbers, converted in one pass; only a
+    node that fails is walked entry by entry, for the path of its bad entry."""
+    if not isinstance(node, list) or not node:
+        _fail(path, f"expected a nonempty array of {'numbers' if ndim == 1 else 'rows'}")
+    rows = node if ndim == 2 else (node,)
+    if all(isinstance(r, list) and _NUMBER_TYPES.issuperset(map(type, r)) for r in rows):
+        try:
+            arr = np.array(node, dtype=float)
+            if arr.ndim == ndim and arr.size and np.isfinite(arr).all():
+                return arr
+        except (ValueError, OverflowError):  # ragged rows, or an integer beyond float range
+            pass
+    if ndim == 1:
+        return np.array([_number(v, f"{path}[{i}]") for i, v in enumerate(node)])
+    rows = [_numbers(r, f"{path}[{i}]") for i, r in enumerate(node)]
+    if len({r.size for r in rows}) != 1:
+        _fail(path, "rows must share one length")
+    return np.vstack(rows)
+
+
+def _vector(node, path, dim) -> np.ndarray:
+    vec = _numbers(node, path)
+    if vec.size != dim:
         _fail(path, f"expected {dim} entries, got {vec.size}")
     return vec
 
 
-def _get_matrix(node, path, dim=None) -> np.ndarray:
-    if not isinstance(node, list) or not node:
-        _fail(path, "expected a nonempty array of rows")
-    rows = [_get_vector(r, f"{path}[{i}]") for i, r in enumerate(node)]
-    widths = {r.size for r in rows}
-    if len(widths) != 1:
-        _fail(path, "rows must share one length")
-    mat = np.vstack(rows)
-    if dim is not None and mat.shape != (dim, dim):
-        _fail(path, f"expected a {dim}x{dim} matrix, got {mat.shape[0]}x{mat.shape[1]}")
+def _matrix(node, path, dim, square=True) -> np.ndarray:
+    mat = _numbers(node, path, ndim=2)
+    if mat.shape[1] != dim or square and mat.shape[0] != dim:
+        shape = f"a {dim}x{dim} matrix" if square else f"rows of {dim} entries"
+        _fail(path, f"expected {shape}, got {mat.shape[0]}x{mat.shape[1]}")
     return mat
+
+
+_rows = partial(_matrix, square=False)
+
+
+def _basis(node, path, dim) -> np.ndarray | None:
+    """Spanning vectors (rows) of a subspace as an orthonormal basis (columns)."""
+    return None if node == [] else orthonormal_range_basis(_rows(node, path, dim).T)
+
+
+def _optional(parse, default=None):
+    """``parse`` for a field that may be absent or null, and is then ``default``."""
+    return lambda node, path, dim: default if node is None else parse(node, path, dim)
+
+
+def _fields(fields: dict, node: dict, path: str, dim) -> list:
+    """Each declared field of object ``node`` through its parser, in order."""
+    return [parse(node.get(key), f"{path}.{key}", dim) for key, parse in fields.items()]
+
+
+class _Kind(NamedTuple):
+    """``fields``: parsers by key in constructor order, or one for the whole body;
+    ``read``: an instance's constructor arguments (default: attributes named as keys)."""
+
+    cls: type
+    fields: dict | Callable
+    build: Callable | None = None
+    read: Callable | None = None
+
+
+def _build(spec: _Kind, node, path: str, dim):
+    """Parse one entry's body and construct it; constructor errors get ``path``."""
+    whole = callable(spec.fields)
+    if not whole and not isinstance(node, dict):
+        _fail(path, f"expected an object with {', '.join(spec.fields)}")
+    args = [spec.fields(node, path, dim)] if whole else _fields(spec.fields, node, path, dim)
+    try:
+        return (spec.build or spec.cls)(*args)
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from exc
+
+
+def _tagged(table: dict, what: str, node, path: str, dim):
+    """Parse ``{kind: body}`` for one of the kinds of ``table``."""
+    if not isinstance(node, dict) or len(node) != 1:
+        _fail(path, f"expected an object with exactly one {what} kind")
+    kind, body = next(iter(node.items()))
+    if kind not in table:
+        _fail(path, f"unknown {what} kind {kind!r}; known: {', '.join(table)}")
+    return _build(table[kind], body, f"{path}.{kind}", dim)
+
+
+def _operators(node, path, dim) -> list[Operator]:
+    if not isinstance(node, list):
+        _fail(path, "expected an array of operators")
+    return [_operator(part, f"{path}[{i}]", dim) for i, part in enumerate(node)]
+
+
+_SETS = {
+    "box": _Kind(Box, {"lo": _vector, "hi": _vector}),
+    "ball": _Kind(Ball, {"center": _vector, "radius": _number}),
+    "halfspace": _Kind(Halfspace, {"normal": _vector, "offset": _number}),
+    "affine_subspace": _Kind(
+        AffineSet, {"base": _vector, "basis": _optional(_basis)},
+        build=lambda base, basis: AffineSet(AffineSubspace(base, basis)),
+        read=lambda s: (s.subspace.base, s.subspace.basis.T)),
+    "singleton": _Kind(Singleton, {"point": _vector}),
+}
+_set = partial(_tagged, _SETS, "set")
+
+_MONOTONE = _Kind(MonotoneAffine, {"Q": _matrix, "q": _vector})
+_monotone = partial(_build, _MONOTONE)
+
+#: ``compose`` lists parts innermost-first (the first entry is applied first).
+_OPERATORS = {
+    "affine": _Kind(AffineMap, {"M": _matrix, "b": _vector}),
+    "projector": _Kind(SetProjector, _set, read=lambda op: (op.set,)),
+    "compose": _Kind(Composition, _operators, read=lambda op: (op.parts,)),
+    "combo": _Kind(ConvexCombination, {"weights": _numbers, "parts": _operators}),
+    "resolvent": _Kind(Resolvent, _monotone, read=lambda op: (op.operator,)),
+    "reflected": _Kind(ReflectedResolvent, _monotone, read=lambda op: (op.operator,)),
+    "gradstep": _Kind(GradientStep, {"Q": _matrix, "q": _vector, "step": _number}),
+}
+_operator = partial(_tagged, _OPERATORS, "operator")
+
+#: Built class -> (kind, entry); the monotone operator is a bare, untagged object.
+_KIND_OF = {spec.cls: (kind, spec) for table in (_SETS, _OPERATORS)
+            for kind, spec in table.items()}
+_KIND_OF[MonotoneAffine] = (None, _MONOTONE)
 
 
 def set_from_spec(node, dim: int, path: str) -> ConvexSet:
     """Convex-set grammar: box, ball, halfspace, affine_subspace, singleton."""
-    if not isinstance(node, dict) or len(node) != 1:
-        _fail(path, "expected an object with exactly one set kind")
-    kind, body = next(iter(node.items()))
-    if kind == "box":
-        return Box(_get_vector(body.get("lo"), f"{path}.box.lo", dim),
-                   _get_vector(body.get("hi"), f"{path}.box.hi", dim))
-    if kind == "ball":
-        return Ball(_get_vector(body.get("center"), f"{path}.ball.center", dim),
-                    _get_number(body.get("radius"), f"{path}.ball.radius"))
-    if kind == "halfspace":
-        return Halfspace(_get_vector(body.get("normal"), f"{path}.halfspace.normal", dim),
-                         _get_number(body.get("offset"), f"{path}.halfspace.offset"))
-    if kind == "affine_subspace":
-        base = _get_vector(body.get("base"), f"{path}.affine_subspace.base", dim)
-        vectors = body.get("basis", [])
-        if not isinstance(vectors, list):
-            _fail(path, "affine_subspace.basis must be an array of vectors")
-        if vectors:
-            spanning = np.column_stack(
-                [_get_vector(v, f"{path}.affine_subspace.basis[{i}]", dim)
-                 for i, v in enumerate(vectors)])
-            basis = orthonormal_range_basis(spanning)
-        else:
-            basis = None
-        return AffineSet(AffineSubspace(base, basis))
-    if kind == "singleton":
-        return Singleton(_get_vector(body.get("point"), f"{path}.singleton.point", dim))
-    _fail(path, f"unknown set kind {kind!r}")
+    return _set(node, path, dim)
 
 
 def monotone_from_spec(node, dim: int, path: str) -> MonotoneAffine:
-    if not isinstance(node, dict):
-        _fail(path, "expected an object with Q and q")
-    return MonotoneAffine(_get_matrix(node.get("Q"), f"{path}.Q", dim),
-                          _get_vector(node.get("q"), f"{path}.q", dim))
+    return _monotone(node, path, dim)
 
 
 def operator_from_spec(node, dim: int, path: str = "operator") -> Operator:
-    """Operator grammar: affine, projector, compose, combo, resolvent, reflected, gradstep.
+    """Operator grammar: affine, projector, compose, combo, resolvent, reflected, gradstep."""
+    return _operator(node, path, dim)
 
-    ``compose`` lists parts innermost-first (the first entry is applied first).
-    """
-    if not isinstance(node, dict) or len(node) != 1:
-        _fail(path, "expected an object with exactly one operator kind")
-    kind, body = next(iter(node.items()))
-    if kind == "affine":
-        return AffineMap(_get_matrix(body.get("M"), f"{path}.affine.M", dim),
-                         _get_vector(body.get("b"), f"{path}.affine.b", dim))
-    if kind == "projector":
-        return SetProjector(set_from_spec(body, dim, f"{path}.projector"))
-    if kind == "compose":
-        if not isinstance(body, list) or not body:
-            _fail(path, "compose expects a nonempty array of operators")
-        return Composition([operator_from_spec(part, dim, f"{path}.compose[{i}]")
-                            for i, part in enumerate(body)])
-    if kind == "combo":
-        if not isinstance(body, dict):
-            _fail(path, "combo expects an object with weights and parts")
-        weights = _get_vector(body.get("weights"), f"{path}.combo.weights")
-        parts = body.get("parts")
-        if not isinstance(parts, list) or len(parts) != weights.size:
-            _fail(path, "combo needs one part per weight")
-        return ConvexCombination(weights, [operator_from_spec(p, dim, f"{path}.combo.parts[{i}]")
-                                           for i, p in enumerate(parts)])
-    if kind == "resolvent":
-        return Resolvent(monotone_from_spec(body, dim, f"{path}.resolvent"))
-    if kind == "reflected":
-        return ReflectedResolvent(monotone_from_spec(body, dim, f"{path}.reflected"))
-    if kind == "gradstep":
-        if not isinstance(body, dict):
-            _fail(path, "gradstep expects an object with Q, q, step")
-        return GradientStep(_get_matrix(body.get("Q"), f"{path}.gradstep.Q", dim),
-                            _get_vector(body.get("q"), f"{path}.gradstep.q", dim),
-                            _get_number(body.get("step"), f"{path}.gradstep.step"))
-    _fail(path, f"unknown operator kind {kind!r}")
+
+def _to_spec(value):
+    """JSON form of a parsed value: arrays as lists, built objects by their grammar."""
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, tuple):
+        return [_to_spec(v) for v in value]
+    if not isinstance(value, (Operator, ConvexSet, MonotoneAffine)):
+        return value
+    if type(value) not in _KIND_OF:
+        raise ValidationError(f"unknown variant {type(value).__name__}")
+    kind, spec = _KIND_OF[type(value)]
+    args = spec.read(value) if spec.read else [getattr(value, key) for key in spec.fields]
+    body = _to_spec(args[0]) if callable(spec.fields) else {
+        key: _to_spec(arg) for key, arg in zip(spec.fields, args)}
+    return body if kind is None else {kind: body}
 
 
 def operator_to_spec(op: Operator) -> dict:
     """Inverse of :func:`operator_from_spec` (sets render by their parameters)."""
-    if isinstance(op, AffineMap):
-        return {"affine": {"M": op.M.tolist(), "b": op.b.tolist()}}
-    if isinstance(op, SetProjector):
-        s = op.set
-        if isinstance(s, Box):
-            body = {"box": {"lo": s.lo.tolist(), "hi": s.hi.tolist()}}
-        elif isinstance(s, Ball):
-            body = {"ball": {"center": s.center.tolist(), "radius": s.radius}}
-        elif isinstance(s, Halfspace):
-            body = {"halfspace": {"normal": s.normal.tolist(), "offset": s.offset}}
-        elif isinstance(s, AffineSet):
-            body = {"affine_subspace": {"base": s.subspace.base.tolist(),
-                                        "basis": s.subspace.basis.T.tolist()}}
-        elif isinstance(s, Singleton):
-            body = {"singleton": {"point": s.point.tolist()}}
-        else:  # pragma: no cover - exhaustive over shipped sets
-            raise ValidationError(f"unknown set variant {type(s).__name__}")
-        return {"projector": body}
-    if isinstance(op, Composition):
-        return {"compose": [operator_to_spec(p) for p in op.parts]}
-    if isinstance(op, ConvexCombination):
-        return {"combo": {"weights": op.weights.tolist(),
-                          "parts": [operator_to_spec(p) for p in op.parts]}}
-    if isinstance(op, Resolvent):
-        return {"resolvent": {"Q": op.operator.Q.tolist(), "q": op.operator.q.tolist()}}
-    if isinstance(op, ReflectedResolvent):
-        return {"reflected": {"Q": op.operator.Q.tolist(), "q": op.operator.q.tolist()}}
-    if isinstance(op, GradientStep):
-        return {"gradstep": {"Q": op.Q.tolist(), "q": op.q.tolist(), "step": op.step}}
-    raise ValidationError(f"unknown operator variant {type(op).__name__}")
+    return _to_spec(op)
 
 
-KNOWN_CHECKS = (
-    "range_formula_composition",
-    "permutation_displacement",
-    "norm_bound_composition",
-    "cyclic_norm",
-    "noncyclic_counterexample",
-    "three_op_closed_form",
-    "convex_combination",
-    "zero_sum_corollary",
-    "cocoercive_averaged_equivalence",
-    "brezis_haraux_affine",
-    "translation_formula",
-    "range_identity_reflected",
-    "projected_gradient_bound",
-)
+class _Check(NamedTuple):
+    """Fields in ``verify.check_<name>`` argument order (after the operators when
+    ``ops``); ``iterative`` checks also take the estimator's max_iter and tol."""
+
+    fields: dict = {}
+    ops: bool = False
+    iterative: bool = False
+
+
+_CHECKS = {
+    "range_formula_composition": _Check(ops=True),
+    "permutation_displacement": _Check({"sigma": _integers}, ops=True),
+    "norm_bound_composition": _Check(ops=True),
+    "cyclic_norm": _Check(ops=True, iterative=True),
+    "noncyclic_counterexample": _Check({"u": _vector}),
+    "three_op_closed_form": _Check({"deltas": _integers, "a": _rows}),
+    "convex_combination": _Check({"weights": _numbers}, ops=True),
+    "zero_sum_corollary": _Check({"weights": _numbers}, ops=True),
+    "cocoercive_averaged_equivalence": _Check(
+        {"A": _monotone, "mu": _optional(_number), "samples": _optional(_count, 1000)}),
+    "brezis_haraux_affine": _Check({"A": _monotone, "B": _monotone}),
+    "translation_formula": _Check({
+        "A": _monotone, "B": _monotone, "y": _vector,
+        "samples": _optional(_count, 200)}),
+    "range_identity_reflected": _Check({"A": _monotone}),
+    "projected_gradient_bound": _Check({
+        "Q": _matrix, "q": _vector, "set": _set, "alpha": _number,
+        "L": _optional(_number)}, iterative=True),
+}
+
+KNOWN_CHECKS = tuple(_CHECKS)
+
+_ESTIMATOR = {"x0": _optional(_vector),
+              "max_iter": _optional(_count, DEFAULT_MAX_ITER),
+              "tol": _optional(_positive, DEFAULT_TOL)}
 
 
 @dataclass
 class Scenario:
-    """A named, seeded problem instance: operators plus optional checks."""
+    """A named, seeded problem instance: operators, checks and estimator settings."""
 
     name: str
     dim: int
     seed: int
     operators: list[Operator]
     checks: list[dict] = field(default_factory=list)
-    estimator: dict = field(default_factory=dict)
+    x0: np.ndarray | None = None
+    max_iter: int = DEFAULT_MAX_ITER
+    tol: float = DEFAULT_TOL
 
 
 def scenario_from_dict(raw: dict, path: str = "scenario") -> Scenario:
@@ -242,49 +326,43 @@ def scenario_from_dict(raw: dict, path: str = "scenario") -> Scenario:
     name = raw.get("name", "scenario")
     if not isinstance(name, str):
         _fail(f"{path}.name", "must be a string")
-    dim = raw.get("dim")
-    if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
-        _fail(f"{path}.dim", "must be a positive integer")
-    seed = raw.get("seed", 0)
-    if isinstance(seed, bool) or not isinstance(seed, int):
-        _fail(f"{path}.seed", "must be an integer")
-    ops_node = raw.get("operators", [])
-    if not isinstance(ops_node, list):
-        _fail(f"{path}.operators", "must be an array")
-    operators = [operator_from_spec(node, dim, f"{path}.operators[{i}]")
-                 for i, node in enumerate(ops_node)]
+    dim = _count(raw.get("dim"), f"{path}.dim")
+    seed = _integer(raw.get("seed", 0), f"{path}.seed")
+    operators = _operators(raw.get("operators", []), f"{path}.operators", dim)
     checks_node = raw.get("checks", [])
     if not isinstance(checks_node, list):
         _fail(f"{path}.checks", "must be an array")
-    checks = []
     for i, node in enumerate(checks_node):
         if not isinstance(node, dict) or not isinstance(node.get("name"), str):
             _fail(f"{path}.checks[{i}]", "each check needs a string 'name'")
-        if node["name"] not in KNOWN_CHECKS:
+        if node["name"] not in _CHECKS:
             _fail(f"{path}.checks[{i}].name",
-                  f"unknown check {node['name']!r}; known: {', '.join(KNOWN_CHECKS)}")
-        checks.append(dict(node))
+                  f"unknown check {node['name']!r}; known: {', '.join(_CHECKS)}")
+    checks = [dict(node) for node in checks_node]
     estimator = raw.get("estimator", {})
     if not isinstance(estimator, dict):
         _fail(f"{path}.estimator", "must be an object")
     for key in estimator:
-        if key not in ("x0", "max_iter", "tol"):
+        if key not in _ESTIMATOR:
             _fail(f"{path}.estimator.{key}", "unknown estimator option")
-    return Scenario(name=name, dim=dim, seed=seed, operators=operators,
-                    checks=checks, estimator=dict(estimator))
+    x0, max_iter, tol = _fields(_ESTIMATOR, estimator, f"{path}.estimator", dim)
+    return Scenario(name, dim, seed, operators, checks, x0, max_iter, tol)
 
 
-def load_scenario(path: str) -> Scenario:
+def _read_json(path: str, what: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
-        raise ValidationError(f"cannot read scenario {path}: {exc}") from exc
+        raise ValidationError(f"cannot read {what} {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ValidationError(
             f"{path}: malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
-    return scenario_from_dict(raw)
+
+
+def load_scenario(path: str) -> Scenario:
+    return scenario_from_dict(_read_json(path, "scenario"))
 
 
 def _ops_for_check(scn: Scenario, params: dict, path: str) -> list[Operator]:
@@ -293,14 +371,10 @@ def _ops_for_check(scn: Scenario, params: dict, path: str) -> list[Operator]:
         if not scn.operators:
             _fail(path, "scenario has no operators to check")
         return list(scn.operators)
-    if not isinstance(node, list) or not node:
-        _fail(f"{path}.ops", "must be a nonempty array of operator indices")
-    ops = []
-    for i, idx in enumerate(node):
-        if isinstance(idx, bool) or not isinstance(idx, int) or not (0 <= idx < len(scn.operators)):
+    for i, idx in enumerate(_integers(node, f"{path}.ops")):
+        if not 0 <= idx < len(scn.operators):
             _fail(f"{path}.ops[{i}]", f"operator index out of range 0..{len(scn.operators) - 1}")
-        ops.append(scn.operators[idx])
-    return ops
+    return [scn.operators[idx] for idx in node]
 
 
 def run_scenario_checks(scn: Scenario, seed: int | None = None,
@@ -308,85 +382,23 @@ def run_scenario_checks(scn: Scenario, seed: int | None = None,
                         max_iter: int | None = None) -> list[verify.CheckReport]:
     """Execute the checks named in the scenario against its operators."""
     seed = scn.seed if seed is None else seed
-    iter_tol = float(scn.estimator.get("tol", DEFAULT_TOL))
-    iter_cap = int(scn.estimator.get("max_iter", DEFAULT_MAX_ITER))
-    if max_iter is not None:
-        iter_cap = max_iter
+    iterative = {"max_iter": scn.max_iter if max_iter is None else max_iter, "iter_tol": scn.tol}
     reports = []
     for i, params in enumerate(scn.checks):
         path = f"scenario.checks[{i}]"
-        name = params["name"]
+        spec = _CHECKS[params["name"]]
+        kw = {"seed": seed, **(iterative if spec.iterative else {})}
         check_tol = params.get("tol", tol)
-        kw = {"seed": seed}
         if check_tol is not None:
-            kw["tol"] = _get_number(check_tol, f"{path}.tol")
-        if name == "range_formula_composition":
-            reports.append(verify.check_range_formula_composition(
-                _ops_for_check(scn, params, path), **kw))
-        elif name == "permutation_displacement":
-            sigma = params.get("sigma")
-            if not isinstance(sigma, list):
-                _fail(f"{path}.sigma", "permutation required")
-            reports.append(verify.check_permutation_displacement(
-                _ops_for_check(scn, params, path), sigma, **kw))
-        elif name == "norm_bound_composition":
-            reports.append(verify.check_norm_bound_composition(
-                _ops_for_check(scn, params, path), **kw))
-        elif name == "cyclic_norm":
-            reports.append(verify.check_cyclic_norm(
-                _ops_for_check(scn, params, path),
-                max_iter=iter_cap, iter_tol=iter_tol, **kw))
-        elif name == "noncyclic_counterexample":
-            reports.append(verify.check_noncyclic_counterexample(
-                _get_vector(params.get("u"), f"{path}.u", scn.dim), **kw))
-        elif name == "three_op_closed_form":
-            a_node = params.get("a")
-            if not isinstance(a_node, list) or len(a_node) != 3:
-                _fail(f"{path}.a", "expected three vectors")
-            a = [_get_vector(v, f"{path}.a[{j}]", scn.dim) for j, v in enumerate(a_node)]
-            deltas = params.get("deltas")
-            if not isinstance(deltas, list):
-                _fail(f"{path}.deltas", "expected three values in -1/0/1")
-            reports.append(verify.check_three_op_closed_form(deltas, a, **kw))
-        elif name == "convex_combination":
-            reports.append(verify.check_convex_combination(
-                _ops_for_check(scn, params, path),
-                _get_vector(params.get("weights"), f"{path}.weights"), **kw))
-        elif name == "zero_sum_corollary":
-            reports.append(verify.check_zero_sum_corollary(
-                _ops_for_check(scn, params, path),
-                _get_vector(params.get("weights"), f"{path}.weights"), **kw))
-        elif name == "cocoercive_averaged_equivalence":
-            A = monotone_from_spec(params.get("A"), scn.dim, f"{path}.A")
-            mu = params.get("mu")
-            mu = cocoercivity_modulus(A)[0] if mu is None else _get_number(mu, f"{path}.mu")
-            samples = int(params.get("samples", 1000))
-            reports.append(verify.check_cocoercive_averaged_equivalence(
-                A, mu, samples=samples, **kw))
-        elif name == "brezis_haraux_affine":
-            reports.append(verify.check_brezis_haraux_affine(
-                monotone_from_spec(params.get("A"), scn.dim, f"{path}.A"),
-                monotone_from_spec(params.get("B"), scn.dim, f"{path}.B"), **kw))
-        elif name == "translation_formula":
-            reports.append(verify.check_translation_formula(
-                monotone_from_spec(params.get("A"), scn.dim, f"{path}.A"),
-                monotone_from_spec(params.get("B"), scn.dim, f"{path}.B"),
-                _get_vector(params.get("y"), f"{path}.y", scn.dim),
-                samples=int(params.get("samples", 200)), **kw))
-        elif name == "range_identity_reflected":
-            reports.append(verify.check_range_identity_reflected(
-                monotone_from_spec(params.get("A"), scn.dim, f"{path}.A"), **kw))
-        elif name == "projected_gradient_bound":
-            L = params.get("L")
-            reports.append(verify.check_projected_gradient_bound(
-                _get_matrix(params.get("Q"), f"{path}.Q", scn.dim),
-                _get_vector(params.get("q"), f"{path}.q", scn.dim),
-                set_from_spec(params.get("set"), scn.dim, f"{path}.set"),
-                _get_number(params.get("alpha"), f"{path}.alpha"),
-                L=None if L is None else _get_number(L, f"{path}.L"),
-                max_iter=iter_cap, iter_tol=iter_tol, **kw))
-        else:  # pragma: no cover - names validated at load
-            _fail(path, f"unknown check {name!r}")
+            kw["tol"] = _number(check_tol, f"{path}.tol")
+        args = [_ops_for_check(scn, params, path)] if spec.ops else []
+        args += _fields(spec.fields, params, path, scn.dim)
+        # looked up at call time, so wrappers installed on ``verify`` see the call
+        check = getattr(verify, f"check_{params['name']}")
+        try:
+            reports.append(check(*args, **kw))
+        except ValidationError as exc:
+            raise ValidationError(f"{path}: {exc}") from exc
     return reports
 
 
@@ -470,54 +482,38 @@ def write_atomic(path: str, text: str) -> None:
 
 
 def load_report(path: str) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-    except OSError as exc:
-        raise ValidationError(f"cannot read report {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ValidationError(
-            f"{path}: malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-        ) from exc
+    payload = _read_json(path, "report")
     if not isinstance(payload, dict) or payload.get("schema_version") != SCHEMA_VERSION:
         raise ValidationError(f"{path}: not a schema_version={SCHEMA_VERSION} report")
     return payload
 
 
-def _witness_summary(witness) -> str:
-    if witness is None:
-        return ""
-    text = json.dumps(witness, sort_keys=True)
-    return text if len(text) <= 60 else text[:57] + "..."
+#: Report kind -> (rows key, CSV columns); boolean columns print as true/false.
+_CSV = {
+    "verify": ("checks", ("check_name", "pass", "discrepancy", "tolerance", "seed",
+                          "witness_summary")),
+    "estimate": ("estimates", ("label", "method", "converged", "iterations", "residual",
+                               "norm")),
+}
+
+
+def _csv_cell(row: dict, column: str):
+    if column == "witness_summary":
+        text = "" if row.get("witness") is None else json.dumps(row["witness"], sort_keys=True)
+        return text if len(text) <= 60 else text[:57] + "..."
+    if column in ("pass", "converged"):
+        return str(bool(row.get(column))).lower()
+    return row.get(column)
 
 
 def report_to_csv(payload: dict) -> str:
     """Delimited rendering of a report (checks or estimates)."""
+    if payload.get("kind") not in _CSV:
+        raise ValidationError(f"unknown report kind {payload.get('kind')!r}")
+    rows_key, columns = _CSV[payload["kind"]]
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
-    if payload.get("kind") == "verify":
-        writer.writerow(["check_name", "pass", "discrepancy", "tolerance", "seed",
-                         "witness_summary"])
-        for row in payload.get("checks", []):
-            writer.writerow([
-                row.get("check_name"),
-                str(bool(row.get("pass"))).lower(),
-                row.get("discrepancy"),
-                row.get("tolerance"),
-                row.get("seed"),
-                _witness_summary(row.get("witness")),
-            ])
-    elif payload.get("kind") == "estimate":
-        writer.writerow(["label", "method", "converged", "iterations", "residual", "norm"])
-        for row in payload.get("estimates", []):
-            writer.writerow([
-                row.get("label"),
-                row.get("method"),
-                str(bool(row.get("converged"))).lower(),
-                row.get("iterations"),
-                row.get("residual"),
-                row.get("norm"),
-            ])
-    else:
-        raise ValidationError(f"unknown report kind {payload.get('kind')!r}")
+    writer.writerow(columns)
+    for row in payload.get(rows_key, []):
+        writer.writerow([_csv_cell(row, column) for column in columns])
     return out.getvalue()

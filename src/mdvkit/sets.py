@@ -30,6 +30,10 @@ class ConvexSet(ABC):
     def contains(self, x, tol: float = 1e-8) -> bool:
         return self.distance(x) <= tol
 
+    def _affine_projection(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """``(P, c)`` with ``project(x) == P @ x + c``, or None when not affine."""
+        return None
+
 
 class Box(ConvexSet):
     """Axis-aligned box ``{lo <= x <= hi}`` (componentwise)."""
@@ -104,6 +108,10 @@ class AffineSet(ConvexSet):
     def _project(self, x):
         return self.subspace.project(x)
 
+    def _affine_projection(self):
+        P = self.subspace.basis @ self.subspace.basis.T
+        return P, self.subspace.base - P @ self.subspace.base
+
     def __repr__(self):
         return f"AffineSet(dim={self.dim}, rank={self.subspace.rank})"
 
@@ -117,6 +125,9 @@ class Singleton(ConvexSet):
 
     def _project(self, x):
         return self.point.copy()
+
+    def _affine_projection(self):
+        return np.zeros((self.dim, self.dim)), self.point.copy()
 
     def __repr__(self):
         return f"Singleton(dim={self.dim})"

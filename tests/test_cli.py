@@ -155,3 +155,69 @@ def test_bad_flags_exit_two(capsys):
     assert main(["no-such-command"]) == EXIT_INVALID
     assert main([]) == EXIT_INVALID
     assert main(["--help"]) == EXIT_OK
+
+
+def _with(**changes):
+    scn = json.loads(json.dumps(GOOD_SCENARIO))
+    scn.update(changes)
+    return scn
+
+
+_A = {"Q": [[1.0, 0.0], [0.0, 1.0]], "q": [0.0, 0.0]}
+_THREE_OPS = GOOD_SCENARIO["operators"] + GOOD_SCENARIO["operators"][:1]
+
+
+@pytest.mark.parametrize(
+    "command, scn, prefix",
+    [
+        # malformed nodes
+        ("estimate", _with(operators=[{"projector": {"box": [1, 2]}}]),
+         "scenario.operators[0].projector.box: "),
+        ("estimate", _with(operators=[{"affine": [1]}]), "scenario.operators[0].affine: "),
+        ("verify", _with(checks=[{"name": "projected_gradient_bound", "Q": _A["Q"], "q": _A["q"],
+                                  "set": {"box": [1]}, "alpha": 1.0}]),
+         "scenario.checks[0].set.box: "),
+        ("verify", _with(checks=[{"name": "cocoercive_averaged_equivalence", "A": _A,
+                                  "samples": "many"}]), "scenario.checks[0].samples: "),
+        ("verify", _with(checks=[{"name": "cocoercive_averaged_equivalence", "A": _A,
+                                  "samples": 2.5}]), "scenario.checks[0].samples: "),
+        ("verify", _with(checks=[{"name": "cocoercive_averaged_equivalence", "A": _A,
+                                  "samples": True}]), "scenario.checks[0].samples: "),
+        ("verify", _with(checks=[{"name": "permutation_displacement", "sigma": ["a", 0]}]),
+         "scenario.checks[0].sigma[0]: "),
+        ("verify", _with(estimator={"max_iter": "x"}), "scenario.estimator.max_iter: "),
+        ("estimate", _with(estimator={"tol": "abc"}), "scenario.estimator.tol: "),
+        ("estimate", _with(estimator={"x0": "abc"}), "scenario.estimator.x0: "),
+        # estimator rules, on an all-affine scenario that never iterates
+        ("estimate", _with(estimator={"x0": [1.0]}), "scenario.estimator.x0: "),
+        ("estimate", _with(estimator={"max_iter": 0}), "scenario.estimator.max_iter: "),
+        ("estimate", _with(estimator={"tol": -1}), "scenario.estimator.tol: "),
+        # constructor and check errors carry the node's path
+        ("estimate", _with(operators=[{"affine": {"M": [[2.0, 0.0], [0.0, 2.0]], "b": [0.0, 0.0]}}]),
+         "scenario.operators[0].affine: affine map is not nonexpansive"),
+        ("estimate", _with(operators=[{"projector": {"ball": {"center": [0.0, 0.0], "radius": -1}}}]),
+         "scenario.operators[0].projector.ball: ball radius must be positive and finite"),
+        ("estimate", _with(operators=[{"combo": {"weights": [0.5, 0.6],
+                                                  "parts": GOOD_SCENARIO["operators"]}}]),
+         "scenario.operators[0].combo: weights must sum to one"),
+        ("verify", _with(checks=[{"name": "three_op_closed_form", "deltas": [2, 0, 0],
+                                  "a": [[0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]}]),
+         "scenario.checks[0]: deltas must be three values in {-1, 0, 1}"),
+        ("verify", _with(operators=_THREE_OPS,
+                         checks=[{"name": "convex_combination", "weights": [1.0]}]),
+         "scenario.checks[0]: dimension mismatch: expected 3, got 1"),
+        ("verify", _with(operators=GOOD_SCENARIO["operators"] + [
+            {"projector": {"ball": {"center": [0.0, 0.0], "radius": 1.0}}}],
+            checks=[{"name": "range_formula_composition"}]),
+         "scenario.checks[0]: operator does not flatten to an affine map"),
+    ],
+    ids=["projector-body-list", "affine-body-list", "check-set-body-list", "samples-str",
+         "samples-float", "samples-bool", "sigma-str", "max_iter-str", "tol-str", "x0-str",
+         "x0-length", "max_iter-zero", "tol-negative", "expansive-affine", "ball-radius",
+         "combo-weights", "three-op-deltas", "combination-weights-count", "exact-check-on-ball"],
+)
+def test_malformed_nodes_exit_two_with_their_path(tmp_path, capsys, command, scn, prefix):
+    assert main([command, _dump(tmp_path, scn)]) == EXIT_INVALID
+    err = capsys.readouterr().err
+    assert err.startswith("error: " + prefix), err
+    assert "Traceback" not in err

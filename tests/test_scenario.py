@@ -241,3 +241,75 @@ def test_report_to_csv_verify_and_estimate():
     assert est_csv.splitlines()[0] == "label,method,converged,iterations,residual,norm"
     with pytest.raises(ValidationError):
         report_to_csv({"kind": "mystery"})
+
+
+# ---------------------------------------------------------------------------
+# typed parsing
+
+
+def _affine_scenario(M):
+    return {"dim": len(M), "operators": [{"affine": {"M": M, "b": [0.0] * len(M)}}]}
+
+
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        ("x", "M[3][4]: expected a number, got str"),
+        (True, "M[3][4]: expected a number, got bool"),
+        (None, "M[3][4]: expected a number, got NoneType"),
+        (float("nan"), "M[3][4]: number must be finite"),
+        (10**400, "M[3][4]: number must be finite"),
+        ([1.0], "M[3][4]: expected a number, got list"),
+    ],
+    ids=["str", "bool", "null", "nan", "huge-int", "list"],
+)
+def test_matrix_errors_name_the_bad_entry(entry, message):
+    M = (0.1 * np.eye(6)).tolist()
+    M[3][4] = entry
+    with pytest.raises(ValidationError) as err:
+        scenario_from_dict(_affine_scenario(M))
+    assert str(err.value) == f"scenario.operators[0].affine.{message}"
+
+
+def test_matrix_shape_errors():
+    M = (0.1 * np.eye(3)).tolist()
+    with pytest.raises(ValidationError, match=r"affine\.M: rows must share one length"):
+        scenario_from_dict(_affine_scenario(M[:2] + [M[2][:2]]))
+    with pytest.raises(ValidationError, match=r"affine\.M: expected a 3x3 matrix, got 2x3"):
+        scenario_from_dict({"dim": 3, "operators": [{"affine": {"M": M[:2], "b": [0.0] * 3}}]})
+
+
+def test_parsed_arrays_match_the_json_values():
+    Q = 5.0 * np.eye(4) + 0.2 * np.random.default_rng(0).standard_normal((4, 4))
+    Q_json = Q.tolist()
+    Q_json[1][2] = 3  # an int entry takes the same one-pass route
+    Q[1][2] = 3.0
+    scn = scenario_from_dict({"dim": 4, "operators": [
+        {"resolvent": {"Q": Q_json, "q": [1, 0, 0, 0]}}]})
+    np.testing.assert_array_equal(scn.operators[0].operator.Q, Q)
+    np.testing.assert_array_equal(scn.operators[0].operator.q, [1.0, 0.0, 0.0, 0.0])
+
+
+def test_estimator_block_is_typed_with_defaults():
+    from mdvkit.displacement import DEFAULT_MAX_ITER, DEFAULT_TOL
+
+    scn = scenario_from_dict({"dim": 2, "estimator": {"x0": [1, 2], "max_iter": 7}})
+    np.testing.assert_array_equal(scn.x0, [1.0, 2.0])
+    assert scn.max_iter == 7 and scn.tol == DEFAULT_TOL
+    bare = scenario_from_dict({"dim": 2})
+    assert bare.x0 is None and bare.max_iter == DEFAULT_MAX_ITER and bare.tol == DEFAULT_TOL
+
+
+def test_readme_documents_every_grammar_entry():
+    from mdvkit import scenario
+
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    for kind in (*scenario._OPERATORS, *scenario._SETS):
+        assert f"`{kind}`" in readme, kind
+    rows = {line.split("`")[1]: line for line in readme.splitlines()
+            if line.startswith("| `")}
+    for name, spec in scenario._CHECKS.items():
+        assert name in rows, name
+        params = (["ops"] if spec.ops else []) + list(spec.fields)
+        for key in params:
+            assert f"`{key}`" in rows[name], (name, key)
