@@ -115,6 +115,11 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_OK if exc.code == 0 else EXIT_INVALID
     try:
+        # flags pass the same typed parsers as the scenario's estimator block
+        if getattr(args, "max_iter", None) is not None:
+            scn_mod._count(args.max_iter, "--max-iter")
+        if getattr(args, "tol", None) is not None:
+            scn_mod._positive(args.tol, "--tol")
         if args.command == "estimate":
             return cmd_estimate(args)
         if args.command == "verify":

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import NumericalError, UnsupportedOperatorError, ValidationError
 from .numeric import AffineSubspace, as_vector, orthonormal_range_basis
-from .operators import Operator, flatten_to_affine, spectral_norm
+from .operators import Operator, flatten_to_affine
 
 EXACT_AFFINE = "exact_affine"
 RESIDUAL_ITERATION = "residual_iteration"
@@ -67,26 +67,29 @@ def displacement_range_affine(T: Operator) -> AffineSubspace:
 
     The displacement map of ``x -> Mx + b`` is ``x -> (I - M) x - b``, so the
     range is the column space of ``I - M`` through the point ``-b``.  The
-    representation is cross-checked by membership of ten sampled displacements.
+    representation is cross-checked by membership of ten sampled displacements
+    and then cached on the operator.
     """
+    cached = getattr(T, "_range_cache", None)
+    if cached is not None:
+        return cached
     flat = flatten_to_affine(T)
     if flat is None:
         raise UnsupportedOperatorError(
             "operator does not flatten to an affine map; use displacement_iterative"
         )
-    eye = np.eye(T.dim)
     # Entries of I - M are O(1) for nonexpansive M, so singular values at the
     # 1e-13 level are accumulated rounding (e.g. weights summing to 1 +- ulp),
     # not genuine directions of the displacement range.
-    floor = 64.0 * np.finfo(float).eps * T.dim * (1.0 + spectral_norm(flat.M))
-    span = orthonormal_range_basis(eye - flat.M, floor=floor)
+    floor = 64.0 * np.finfo(float).eps * T.dim * (1.0 + flat.norm)
+    span = orthonormal_range_basis(np.eye(T.dim) - flat.M, floor=floor)
     rng_space = AffineSubspace(-flat.b, span)
-    rng = np.random.default_rng(0)
-    for _ in range(10):
-        x = rng.standard_normal(T.dim)
-        w = x - T._apply(x)
-        if rng_space.distance(w) > 1e-8:
-            raise NumericalError("displacement range failed its membership cross-check")
+    xs = np.random.default_rng(0).standard_normal((10, T.dim))
+    offsets = xs - np.array([T._apply(x) for x in xs]) - rng_space.base
+    misses = np.linalg.norm(offsets - (offsets @ span) @ span.T, axis=1)
+    if np.any(misses > 1e-8):
+        raise NumericalError("displacement range failed its membership cross-check")
+    T._range_cache = rng_space
     return rng_space
 
 
@@ -151,7 +154,7 @@ def displacement_iterative(
         # A strictly contractive affine map has a unique fixed point, so the
         # residual converges geometrically even without an averagedness
         # certificate (e.g. an orthogonal factor inside a contraction).
-        contractive = spectral_norm(M) <= 1.0 - 1e-9
+        contractive = flat.norm <= 1.0 - 1e-9
 
         def step(v):
             return M @ v + b

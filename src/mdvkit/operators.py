@@ -33,8 +33,8 @@ MU_CAP = 1e12
 
 
 def spectral_norm(M) -> float:
-    """Largest singular value of ``M``."""
-    return float(np.linalg.norm(as_matrix(M), 2))
+    """Largest singular value of ``M`` (the same LAPACK call as ``norm(M, 2)``)."""
+    return float(np.linalg.svd(as_matrix(M), compute_uv=False)[0])
 
 
 class MonotoneAffine:
@@ -155,12 +155,16 @@ class Operator:
 
 
 class AffineMap(Operator):
-    """Affine map ``x -> Mx + b`` with spectral norm of M at most one."""
+    """Affine map ``x -> Mx + b`` with spectral norm of M at most one.
+
+    ``norm`` keeps the spectral norm of ``M`` computed for validation.
+    """
 
     def __init__(self, M, b):
         M = as_matrix(M, square=True)
         b = as_vector(b, M.shape[0])
-        if spectral_norm(M) > 1.0 + NORM_TOL:
+        norm = spectral_norm(M)
+        if norm > 1.0 + NORM_TOL:
             raise ValidationError("affine map is not nonexpansive: spectral norm exceeds one")
         M = M.copy()
         b = b.copy()
@@ -168,6 +172,7 @@ class AffineMap(Operator):
         b.setflags(write=False)
         self.M = M
         self.b = b
+        self.norm = norm
         self.dim = M.shape[0]
 
     @classmethod
@@ -442,7 +447,8 @@ def minimal_averagedness(M, tol: float = NORM_TOL) -> float | None:
     limit = 1.0 + tol
 
     def feasible(alpha: float) -> bool:
-        return float(np.linalg.norm((M - (1.0 - alpha) * eye) / alpha, 2)) <= limit
+        return float(np.linalg.svd((M - (1.0 - alpha) * eye) / alpha,
+                                   compute_uv=False)[0]) <= limit
 
     if feasible(ALPHA_FLOOR):
         return ALPHA_FLOOR
@@ -509,14 +515,13 @@ def flatten_to_affine(T: Operator) -> AffineMap | None:
         M, b = pair
         flat = AffineMap(M, b)
         probes = np.vstack((np.zeros(T.dim), np.eye(T.dim)))
-        for p in probes:
-            direct = T._apply(p)
-            collapsed = M @ p + b
-            err = float(np.linalg.norm(direct - collapsed))
-            if err > 1e-9 * (1.0 + float(np.linalg.norm(direct))):
-                raise NumericalError(
-                    f"flattened affine map disagrees with tree evaluation (error {err:.3e})"
-                )
+        direct = np.array([T._apply(p) for p in probes])
+        err = np.linalg.norm(direct - (probes @ M.T + b), axis=1)
+        bad = np.flatnonzero(err > 1e-9 * (1.0 + np.linalg.norm(direct, axis=1)))
+        if bad.size:
+            raise NumericalError(
+                f"flattened affine map disagrees with tree evaluation (error {err[bad[0]]:.3e})"
+            )
     T._flat_cache = flat
     return flat
 

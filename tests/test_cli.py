@@ -1,6 +1,7 @@
 """Command-line behavior: exit codes, output formats, determinism."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -24,6 +25,10 @@ GOOD_SCENARIO = {
         {"name": "norm_bound_composition", "ops": [0, 1]},
     ],
 }
+
+SHIPPED = Path(__file__).resolve().parents[1] / "scenarios"
+REFLECTIONS = str(SHIPPED / "two_reflections.json")
+PROJECTOR_MIX = str(SHIPPED / "projector_mix.json")
 
 FAILING_SCENARIO = {
     "name": "cli-bad",
@@ -125,11 +130,22 @@ def test_builtin_suite_deterministic(tmp_path):
         ["verify"],                      # neither path nor --builtin-suite
         ["estimate", "/nonexistent/scenario.json"],
         ["report", "/nonexistent/report.json"],
+        # out-of-range flags, named in the message
+        ["estimate", REFLECTIONS, "--max-iter", "0", "--tol", "-1"],
+        ["estimate", REFLECTIONS, "--tol", "nan"],
+        ["verify", PROJECTOR_MIX, "--tol", "-1"],
+        ["verify", PROJECTOR_MIX, "--tol", "inf"],
+        ["verify", PROJECTOR_MIX, "--max-iter", "0"],
+        ["verify", "--builtin-suite", "--max-iter", "-3"],
     ],
 )
 def test_invalid_inputs_exit_two(argv, capsys):
     assert main(argv) == EXIT_INVALID
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error:" in err
+    flags = [a for a in argv if a.startswith("--") and a != "--builtin-suite"]
+    if flags:
+        assert f"error: {flags[0]}: " in err, err
 
 
 def test_builtin_suite_refuses_extra_scenario(tmp_path, capsys):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from mdvkit import displacement as disp_mod
 from mdvkit.displacement import (
     EXACT_AFFINE,
     NORMALIZED_ITERATE,
@@ -14,8 +15,16 @@ from mdvkit.displacement import (
     membership_in_displacement_range,
     minimal_displacement,
 )
-from mdvkit.errors import UnsupportedOperatorError, ValidationError
-from mdvkit.operators import AffineMap, Composition, ConvexCombination, SetProjector
+from mdvkit.errors import NumericalError, UnsupportedOperatorError, ValidationError
+from mdvkit.operators import (
+    AffineMap,
+    Composition,
+    ConvexCombination,
+    Operator,
+    Regularity,
+    SetProjector,
+    flatten_to_affine,
+)
 from mdvkit.sets import Ball, Box, Halfspace, Singleton
 
 
@@ -76,6 +85,63 @@ def test_exact_rejects_non_affine():
         displacement_range_affine(proj)
     with pytest.raises(UnsupportedOperatorError):
         displacement_exact_affine(proj)
+
+
+class _Bumped(Operator):
+    """Claims the identity as its affine pair but evaluates ``x + bump(x) e0``."""
+
+    def __init__(self, bump, dim=3):
+        self.bump = bump
+        self.dim = dim
+
+    def _apply(self, x):
+        out = x.copy()
+        out[0] += self.bump(x)
+        return out
+
+    def _affine_pair(self):
+        return np.eye(self.dim), np.zeros(self.dim)
+
+    def _regularity(self):
+        return Regularity.nonexpansive()
+
+
+def test_range_membership_check_fires_off_the_flatten_probes():
+    # x0 * x1 vanishes at the probes 0 and e_i, so flattening accepts the pair
+    op = _Bumped(lambda x: x[0] * x[1])
+    assert flatten_to_affine(op) is not None
+    for _ in range(2):  # a failed cross-check leaves nothing cached
+        with pytest.raises(NumericalError, match="membership"):
+            displacement_range_affine(op)
+
+
+def test_flatten_probe_check_fires_and_reports_the_first_failing_probe():
+    # disagrees at e1 by 1e-3 and at e2 by 2e-3
+    op = _Bumped(lambda x: 1e-3 * (x[1] + 2.0 * x[2]))
+    with pytest.raises(NumericalError, match=r"error 1\.000e-03"):
+        flatten_to_affine(op)
+    with pytest.raises(NumericalError, match="disagrees"):
+        displacement_range_affine(op)
+
+
+def test_range_is_computed_once_per_operator(monkeypatch):
+    calls = []
+    factor = disp_mod.orthonormal_range_basis
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return factor(*args, **kwargs)
+
+    monkeypatch.setattr(disp_mod, "orthonormal_range_basis", counted)
+    op = Composition([_reflection([0.5, 0.5]), AffineMap.translation([0.1, 0.2])])
+    first = displacement_range_affine(op)
+    assert displacement_range_affine(op) is first
+    displacement_exact_affine(op)
+    assert len(calls) == 1
+    fresh = displacement_range_affine(Composition(op.parts))
+    assert fresh is not first and len(calls) == 2
+    np.testing.assert_array_equal(fresh.base, first.base)
+    np.testing.assert_array_equal(fresh.basis, first.basis)
 
 
 def test_membership_in_displacement_range():

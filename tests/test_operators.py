@@ -7,6 +7,9 @@ from hypothesis import strategies as st
 
 from mdvkit.errors import NumericalError, ValidationError
 from mdvkit.operators import (
+    ALPHA_CEILING,
+    ALPHA_FLOOR,
+    NORM_TOL,
     AffineMap,
     Composition,
     ConvexCombination,
@@ -23,6 +26,7 @@ from mdvkit.operators import (
 )
 from mdvkit.sets import AffineSet, Ball, Singleton
 from mdvkit.numeric import AffineSubspace
+from mdvkit.verify import random_averaged_affine, random_structured_averaged
 
 
 def _rotation(theta):
@@ -149,6 +153,35 @@ def test_minimal_averagedness_certificate_is_sound(seed):
     N = (M - (1.0 - alpha) * np.eye(3)) / alpha
     assert spectral_norm(N) <= 1.0 + 1e-8
     np.testing.assert_allclose((1.0 - alpha) * np.eye(3) + alpha * N, M, atol=1e-12)
+
+
+def _bisection_with_norm2(M, tol=NORM_TOL):
+    """``minimal_averagedness`` with numpy's ``norm(., 2)`` as its feasibility norm."""
+    eye = np.eye(M.shape[0])
+
+    def feasible(alpha):
+        return float(np.linalg.norm((M - (1.0 - alpha) * eye) / alpha, 2)) <= 1.0 + tol
+
+    if feasible(ALPHA_FLOOR):
+        return ALPHA_FLOOR
+    if not feasible(ALPHA_CEILING):
+        return None
+    lo, hi = ALPHA_FLOOR, ALPHA_CEILING
+    while hi - lo > 1e-10:
+        mid = 0.5 * (lo + hi)
+        if feasible(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+@pytest.mark.parametrize("generator", [random_averaged_affine, random_structured_averaged])
+def test_minimal_averagedness_matches_norm2_bisection_bitwise(generator):
+    rng = np.random.default_rng(11)
+    for _ in range(40):
+        M = generator(rng, 5).M
+        assert minimal_averagedness(M) == _bisection_with_norm2(M)
 
 
 def test_regularity_fold_two_firmly_is_two_thirds():
@@ -312,3 +345,17 @@ def test_flatten_singleton_projector_is_constant():
 def test_spectral_norm_oracle():
     assert spectral_norm(np.diag([3.0, 1.0])) == pytest.approx(3.0)
     assert spectral_norm(np.zeros((2, 2))) == 0.0
+
+
+@pytest.mark.parametrize("rows, cols, rank", [(5, 5, 5), (3, 7, 3), (7, 3, 3), (6, 6, 2),
+                                              (50, 50, 50)])
+def test_spectral_norm_matches_numpy_norm2_bitwise(rows, cols, rank):
+    rng = np.random.default_rng(rows * 100 + cols * 10 + rank)
+    for _ in range(20):
+        M = rng.standard_normal((rows, rank)) @ rng.standard_normal((rank, cols))
+        assert spectral_norm(M) == float(np.linalg.norm(M, 2))
+
+
+def test_affine_map_keeps_its_spectral_norm():
+    M = 0.9 * _rotation(0.3)
+    assert AffineMap(M, [0.0, 0.0]).norm == spectral_norm(M)

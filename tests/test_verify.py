@@ -271,6 +271,16 @@ def test_builtin_suite_small_run_passes():
     assert len(unmet) == 1 and unmet[0].check_name == "range_formula_composition"
 
 
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 1: the residual iteration's 64-step stall stop ends two of the three "
+    "cyclic shifts 8.8e-3 from the minimal displacement vector 0, against tol 1e-3"))
+def test_builtin_suite_seed_38_cyclic_mix_0_agrees_across_shifts():
+    # instance 0 of the builtin suite's cyclic projector mixes at seed 38
+    ops = verify.random_projector_translation_mix(verify._instance_rng(38, 20_000), 4)
+    report = check_cyclic_norm(ops, tol=1e-3, seed=verify._instance_seed(38, 20_000))
+    assert report.passed, report.witness
+
+
 def test_suite_passed_ignores_unmet_hypotheses():
     met_pass = CheckReport("a", True, None, None, 0.0, 1.0)
     unmet_fail = CheckReport("b", False, None, None, 2.0, 1.0, hypothesis_met=False)
