@@ -11,7 +11,7 @@ import sys
 
 from . import scenario as scn_mod
 from . import verify
-from .displacement import minimal_displacement
+from .displacement import DEFAULT_MAX_ITER, minimal_displacement
 from .errors import NumericalError, ValidationError
 
 EXIT_OK = 0
@@ -45,7 +45,8 @@ def _build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--seed", type=int, default=None, help="seed override (default 42 "
                                                             "for the built-in suite)")
     ver.add_argument("--tol", type=float, default=None,
-                     help="override the default tolerance of scenario checks")
+                     help="override the default tolerance of scenario checks "
+                          "(rejected with --builtin-suite)")
     ver.add_argument("--max-iter", type=int, default=None, help="iteration cap override")
     ver.add_argument("--out", default=None, help="write the report here instead of stdout")
     ver.add_argument("--format", choices=("json", "csv"), default="json")
@@ -85,8 +86,11 @@ def cmd_verify(args) -> int:
     if args.builtin_suite:
         if args.scenario is not None:
             raise ValidationError("pass either a scenario path or --builtin-suite, not both")
+        if args.tol is not None:
+            raise ValidationError("--tol: the built-in suite uses fixed per-check tolerances")
         seed = 42 if args.seed is None else args.seed
-        reports = verify.builtin_suite(seed=seed)
+        max_iter = DEFAULT_MAX_ITER if args.max_iter is None else args.max_iter
+        reports = verify.builtin_suite(seed=seed, max_iter=max_iter)
         name = "builtin-suite"
     else:
         if args.scenario is None:

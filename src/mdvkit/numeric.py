@@ -60,7 +60,7 @@ def orthonormal_range_basis(M, tol: float = DEFAULT_RANK_TOL,
         raise ValidationError(f"expected a matrix, got array of shape {M.shape}")
     if not np.all(np.isfinite(M)):
         raise ValidationError("matrix entries must be finite")
-    if tol < 0 or floor < 0:
+    if not (tol >= 0 and floor >= 0):
         raise ValidationError("rank tolerances must be nonnegative")
     rows = M.shape[0]
     if M.shape[1] == 0:
@@ -165,6 +165,6 @@ def affine_discrepancy(s1: AffineSubspace, s2: AffineSubspace) -> float:
 
 def affine_equal(s1: AffineSubspace, s2: AffineSubspace, tol: float = 1e-9) -> bool:
     """True iff the two affine subspaces coincide within ``tol``."""
-    if tol < 0:
+    if not tol >= 0:
         raise ValidationError("tolerance must be nonnegative")
     return affine_discrepancy(s1, s2) <= tol

@@ -497,8 +497,9 @@ def flatten_to_affine(T: Operator) -> AffineMap | None:
 
     Returns ``None`` when a projector of a non-affine set occurs anywhere in
     the tree.  The collapsed map is cross-checked against tree evaluation at
-    dim+1 affinely independent points within 1e-9 (results are cached on the
-    operator).
+    dim+11 points (0, the unit vectors, ten seeded Gaussian samples) within a
+    relative 1e-9; a disagreement raises ``NumericalError`` naming the first
+    failing probe and caches nothing, otherwise the result is cached.
     """
     if not isinstance(T, Operator):
         raise ValidationError("flatten_to_affine expects an Operator")
@@ -514,7 +515,8 @@ def flatten_to_affine(T: Operator) -> AffineMap | None:
     else:
         M, b = pair
         flat = AffineMap(M, b)
-        probes = np.vstack((np.zeros(T.dim), np.eye(T.dim)))
+        probes = np.vstack((np.zeros(T.dim), np.eye(T.dim),
+                            np.random.default_rng(0).standard_normal((10, T.dim))))
         direct = np.array([T._apply(p) for p in probes])
         err = np.linalg.norm(direct - (probes @ M.T + b), axis=1)
         bad = np.flatnonzero(err > 1e-9 * (1.0 + np.linalg.norm(direct, axis=1)))

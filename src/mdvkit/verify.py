@@ -229,22 +229,18 @@ def check_convex_combination(ops, weights, tol: float = EXACT_TOL, seed: int = 0
     weights = as_vector(weights, len(ops))
     combo = ConvexCombination(weights, ops)
     all_affine = all(flatten_to_affine(op) is not None for op in ops)
+    mdvs = [disp.minimal_displacement(op).vector for op in ops]
+    v_combo = disp.minimal_displacement(combo).vector
     notes = ""
     if all_affine:
-        lhs_range = disp.displacement_range_affine(combo)
-        rhs_range = disp.displacement_range_affine(ops[0]).scaled(weights[0])
+        lhs = disp.displacement_range_affine(combo)
+        rhs = disp.displacement_range_affine(ops[0]).scaled(weights[0])
         for w, op in zip(weights[1:], ops[1:]):
-            rhs_range = minkowski_sum_affine(
-                rhs_range, disp.displacement_range_affine(op).scaled(w))
-        d_range = affine_discrepancy(lhs_range, rhs_range)
-        mdvs = [disp.displacement_exact_affine(op).vector for op in ops]
-        v_combo = disp.displacement_exact_affine(combo).vector
-        lhs, rhs = lhs_range, rhs_range
+            rhs = minkowski_sum_affine(rhs, disp.displacement_range_affine(op).scaled(w))
+        d_range = affine_discrepancy(lhs, rhs)
     else:
         d_range = 0.0
         notes = "range equality skipped: non-affine part present"
-        mdvs = [disp.minimal_displacement(op).vector for op in ops]
-        v_combo = disp.minimal_displacement(combo).vector
         lhs, rhs = v_combo, None
     weighted_sum = np.zeros(ops[0].dim)
     weighted_norms = 0.0

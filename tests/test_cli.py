@@ -5,12 +5,14 @@ from pathlib import Path
 
 import pytest
 
+from mdvkit import verify
 from mdvkit.cli import (
     EXIT_CHECK_FAILED,
     EXIT_INVALID,
     EXIT_OK,
     main,
 )
+from mdvkit.displacement import DEFAULT_MAX_ITER
 
 GOOD_SCENARIO = {
     "name": "cli-good",
@@ -137,6 +139,7 @@ def test_builtin_suite_deterministic(tmp_path):
         ["verify", PROJECTOR_MIX, "--tol", "inf"],
         ["verify", PROJECTOR_MIX, "--max-iter", "0"],
         ["verify", "--builtin-suite", "--max-iter", "-3"],
+        ["verify", "--builtin-suite", "--tol", "1e-3"],  # per-check tolerances are fixed
     ],
 )
 def test_invalid_inputs_exit_two(argv, capsys):
@@ -146,6 +149,19 @@ def test_invalid_inputs_exit_two(argv, capsys):
     flags = [a for a in argv if a.startswith("--") and a != "--builtin-suite"]
     if flags:
         assert f"error: {flags[0]}: " in err, err
+
+
+@pytest.mark.parametrize("flags, max_iter", [([], DEFAULT_MAX_ITER), (["--max-iter", "7"], 7)])
+def test_builtin_suite_forwards_max_iter(flags, max_iter, monkeypatch, capsys):
+    seen = []
+
+    def recorded(**kwargs):
+        seen.append(kwargs)
+        return []
+
+    monkeypatch.setattr(verify, "builtin_suite", recorded)
+    assert main(["verify", "--builtin-suite", "--seed", "5", *flags]) == EXIT_OK
+    assert seen == [{"seed": 5, "max_iter": max_iter}]
 
 
 def test_builtin_suite_refuses_extra_scenario(tmp_path, capsys):

@@ -1,5 +1,7 @@
 """Displacement-vector solvers: exact affine route and fixed-point iteration."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -106,13 +108,13 @@ class _Bumped(Operator):
         return Regularity.nonexpansive()
 
 
-def test_range_membership_check_fires_off_the_flatten_probes():
-    # x0 * x1 vanishes at the probes 0 and e_i, so flattening accepts the pair
+def test_flatten_cross_check_sees_a_bump_that_vanishes_at_the_unit_probes():
+    # x0 * x1 vanishes at 0 and every e_i; only the sampled probes expose it
     op = _Bumped(lambda x: x[0] * x[1])
-    assert flatten_to_affine(op) is not None
     for _ in range(2):  # a failed cross-check leaves nothing cached
-        with pytest.raises(NumericalError, match="membership"):
-            displacement_range_affine(op)
+        for route in (flatten_to_affine, displacement_range_affine, displacement_iterative):
+            with pytest.raises(NumericalError, match="disagrees"):
+                route(op)
 
 
 def test_flatten_probe_check_fires_and_reports_the_first_failing_probe():
@@ -150,6 +152,12 @@ def test_membership_in_displacement_range():
     assert not membership_in_displacement_range(shift, [-0.3, 0.2])
     reflection = _reflection([1.0, 1.0])
     assert membership_in_displacement_range(reflection, [40.0, -2.0])  # full range
+
+
+@pytest.mark.parametrize("tol", [-1.0, math.nan])
+def test_membership_rejects_negative_and_nan_tolerance(tol):
+    with pytest.raises(ValidationError):
+        membership_in_displacement_range(AffineMap.translation([0.3, -0.1]), [-0.3, 0.1], tol=tol)
 
 
 # ---------------------------------------------------------------------------
@@ -264,6 +272,8 @@ def test_estimate_container_invariants():
         DisplacementEstimate(np.zeros(2), 0.0, 3, EXACT_AFFINE, True)  # exact, iters
     with pytest.raises(ValidationError):
         DisplacementEstimate(np.zeros(2), -1.0, 3, RESIDUAL_ITERATION, True)
+    with pytest.raises(ValidationError):
+        DisplacementEstimate(np.zeros(2), -math.inf, 3, RESIDUAL_ITERATION, True)
     with pytest.raises(ValidationError):
         DisplacementEstimate(np.zeros(2), 0.0, 3, "made_up_method", True)
 

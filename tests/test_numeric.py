@@ -131,6 +131,18 @@ def test_affine_equal_different_parameterizations():
     assert not affine_equal(s1, s3)
 
 
+@pytest.mark.parametrize("bad", [-1.0, np.nan])
+def test_rank_and_equality_tolerances_reject_negative_and_nan(bad):
+    # a NaN cutoff used to keep no direction: rank 0 for the identity
+    with pytest.raises(ValidationError):
+        orthonormal_range_basis(np.eye(3), tol=bad)
+    with pytest.raises(ValidationError):
+        orthonormal_range_basis(np.eye(3), floor=bad)
+    point = AffineSubspace(np.zeros(2))
+    with pytest.raises(ValidationError):
+        affine_equal(point, point, tol=bad)
+
+
 def test_affine_discrepancy_detects_span_mismatch():
     # a strict inclusion is still an equality failure: the extra basis
     # direction of the larger space shows up at full length
