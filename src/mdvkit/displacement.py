@@ -3,15 +3,19 @@
 The minimal displacement vector of ``T`` is the projection of the origin onto
 the closure of the range of ``Id - T``; its norm measures how inconsistent the
 fixed-point problem for ``T`` is.  For operators that flatten to an affine map
-the range is an affine subspace and everything is exact; otherwise two
-classical iterations estimate the vector: the residual ``x_n - T x_n`` for
-averaged maps, and the normalized iterate ``-x_n / n`` for merely nonexpansive
-ones.
+the range is an affine subspace and everything is exact; otherwise the
+residual ``x_n - T x_n`` of a fixed-point iteration estimates the vector.
+Averaged maps iterate ``T`` itself.  Merely nonexpansive ones iterate the
+Krasnosel'skii-Mann relaxation ``(Id + T) / 2``, which is averaged and whose
+minimal displacement vector is half that of ``T`` (Baillon-Bruck-Reich 1978);
+when it is affine, restarted reduced-rank extrapolation (RRE; Sidi, *Vector
+Extrapolation Methods*, 2017) proposes restart points along the way.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,9 +26,8 @@ from .operators import Operator, flatten_to_affine
 
 EXACT_AFFINE = "exact_affine"
 RESIDUAL_ITERATION = "residual_iteration"
-NORMALIZED_ITERATE = "normalized_iterate"
 
-_METHODS = (EXACT_AFFINE, RESIDUAL_ITERATION, NORMALIZED_ITERATE)
+_METHODS = (EXACT_AFFINE, RESIDUAL_ITERATION)
 
 DEFAULT_MAX_ITER = 100_000
 DEFAULT_TOL = 1e-8
@@ -33,6 +36,15 @@ _FINITE_CHECK_EVERY = 128
 # Consecutive small successive-difference steps needed before an iterative run
 # counts as converged; a single quiet step can be a transient plateau.
 _STALL_PATIENCE = 64
+# Krasnosel'skii-Mann step for maps not certified averaged.
+_KM_STEP = 0.5
+# Restarted RRE: dim + 3 steps span the Krylov space of an affine map's
+# residuals, but in floating point the power basis loses about a third of its
+# rank at dim 50, so a cycle is twice that.  The floor is both the spread below
+# which a cycle holds only rounding and the absolute singular-value cutoff of
+# its least-squares solve.
+_RRE_MAX_CYCLE = 120
+_RRE_FLOOR = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -55,6 +67,10 @@ class DisplacementEstimate:
             raise ValidationError(f"unknown estimation method {self.method!r}")
         if not self.residual >= 0.0:
             raise ValidationError("residual must be nonnegative")
+        if not _is_integer(self.iterations) or self.iterations < 0:
+            raise ValidationError("iterations must be a nonnegative integer")
+        if not np.all(np.isfinite(self.vector)):
+            raise ValidationError("estimate vector entries must be finite")
         if self.method == EXACT_AFFINE and (self.iterations != 0 or not self.converged):
             raise ValidationError("exact estimates have zero iterations and converge")
 
@@ -106,14 +122,18 @@ def displacement_iterative(
 ) -> DisplacementEstimate:
     """Estimate the minimal displacement vector by fixed-point iteration.
 
-    Averaged operators use the residual ``x_n - T x_n``, which converges to
-    the minimal displacement vector; merely nonexpansive ones fall back to the
-    normalized iterate ``-x_n / n``.  Iteration stops once successive vector
-    estimates stay within ``tol`` for a run of consecutive steps, or after
-    ``max_iter`` steps.  The run requirement guards against transient
-    plateaus: piecewise-affine geometry (projections onto boxes or
-    halfspaces) can hold the residual exactly constant for a stretch while
-    the iterate is still sliding toward the limit.
+    Averaged operators and affine strict contractions iterate ``T``: the
+    residual ``x_n - T x_n`` converges to the minimal displacement vector.
+    Other operators iterate the averaged ``T_half = (Id + T) / 2``, whose
+    vector is half of ``T``'s, and report its residual doubled.  When
+    ``T_half`` is affine, restarted RRE proposes a restart point every
+    ``min(2 (dim + 3), 120)`` steps, kept only if its evaluated residual is
+    smaller; each proposal counts as one iteration.  Iteration stops once
+    successive vector estimates stay within ``tol`` for a run of consecutive
+    steps, or after ``max_iter`` iterations.  The run requirement guards
+    against transient plateaus: piecewise-affine geometry (projections onto
+    boxes or halfspaces) can hold the residual exactly constant for a stretch
+    while the iterate is still sliding toward the limit.
 
     Parameters
     ----------
@@ -122,14 +142,15 @@ def displacement_iterative(
     x0 : array-like, optional
         Starting point; the origin when omitted.
     max_iter, tol
-        Iteration budget and successive-difference threshold.
+        Iteration budget (a positive integer) and successive-difference
+        threshold (positive and finite).
     """
     if not isinstance(T, Operator):
         raise ValidationError("displacement_iterative expects an Operator")
-    if max_iter < 1:
-        raise ValidationError("max_iter must be at least one")
-    if not (tol > 0.0):
-        raise ValidationError("tol must be positive")
+    if not _is_integer(max_iter) or max_iter < 1:
+        raise ValidationError("max_iter must be an integer of at least one")
+    if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not 0.0 < tol < math.inf:
+        raise ValidationError("tol must be positive and finite")
     x = np.zeros(T.dim) if x0 is None else as_vector(x0, T.dim).copy()
 
     flat = flatten_to_affine(T)
@@ -148,7 +169,16 @@ def displacement_iterative(
 
     if contractive or T.regularity().is_averaged:
         return _residual_iteration(step, x, max_iter, tol)
-    return _normalized_iterate(step, x, max_iter, tol)
+
+    def relaxed(v):
+        return v + _KM_STEP * (step(v) - v)
+
+    cycle = None if flat is None else min(2 * (T.dim + 3), _RRE_MAX_CYCLE)
+    return _residual_iteration(relaxed, x, max_iter, tol, _KM_STEP, cycle)
+
+
+def _is_integer(n) -> bool:
+    return isinstance(n, numbers.Integral) and not isinstance(n, bool)
 
 
 def _check_finite(x: np.ndarray) -> None:
@@ -156,51 +186,62 @@ def _check_finite(x: np.ndarray) -> None:
         raise NumericalError("iteration produced non-finite values")
 
 
-def _residual_iteration(step, x, max_iter, tol) -> DisplacementEstimate:
+def _residual_iteration(step, x, max_iter, tol, scale=1.0, cycle=None) -> DisplacementEstimate:
+    """Iterate ``step`` and estimate by its residual divided by ``scale``; with
+    ``cycle`` (affine ``step`` only), propose a restart point every ``cycle`` steps."""
     tx = step(x)
     est = x - tx
     residual = math.inf
     converged = False
     iterations = 0
     stall = 0
-    for n in range(1, max_iter + 1):
+    xs, rs = [x], [est]
+    while iterations < max_iter:
         x = tx
         tx = step(x)
         new_est = x - tx
-        residual = float(np.linalg.norm(new_est - est))
+        iterations += 1
+        if cycle is not None:
+            xs.append(x)
+            rs.append(new_est)
+            if len(xs) > cycle:
+                if iterations < max_iter and (x_hat := _rre_point(xs, rs)) is not None:
+                    iterations += 1
+                    tx_hat = step(x_hat)
+                    r_hat = x_hat - tx_hat
+                    if np.all(np.isfinite(r_hat)) and np.linalg.norm(r_hat) < np.linalg.norm(new_est):
+                        x, tx, new_est = x_hat, tx_hat, r_hat
+                xs, rs = [x], [new_est]
+        residual = float(np.linalg.norm(new_est - est)) / scale
         est = new_est
-        iterations = n
         stall = stall + 1 if residual <= tol else 0
         if stall >= _STALL_PATIENCE:
             converged = True
             break
-        if n % _FINITE_CHECK_EVERY == 0:
+        if iterations % _FINITE_CHECK_EVERY == 0:
             _check_finite(x)
     _check_finite(est)
-    return DisplacementEstimate(est, residual, iterations, RESIDUAL_ITERATION, converged)
+    return DisplacementEstimate(est / scale, residual, iterations, RESIDUAL_ITERATION, converged)
 
 
-def _normalized_iterate(step, x, max_iter, tol) -> DisplacementEstimate:
-    est = None
-    residual = math.inf
-    converged = False
-    iterations = 0
-    stall = 0
-    for n in range(1, max_iter + 1):
-        x = step(x)
-        new_est = -x / n
-        if est is not None:
-            residual = float(np.linalg.norm(new_est - est))
-        est = new_est
-        iterations = n
-        stall = stall + 1 if residual <= tol else 0
-        if stall >= _STALL_PATIENCE:
-            converged = True
-            break
-        if n % _FINITE_CHECK_EVERY == 0:
-            _check_finite(x)
-    _check_finite(est)
-    return DisplacementEstimate(est, residual, iterations, NORMALIZED_ITERATE, converged)
+def _rre_point(xs, rs):
+    """Restarted RRE point of one cycle's iterates ``xs`` and residuals ``rs``.
+
+    Solves ``min_c |r_0 + sum_j c_j (r_j - r_0)|`` and returns
+    ``x_0 + sum_j c_j (x_j - x_0)``, or ``None`` when the cycle holds only
+    rounding.
+    """
+    r0 = rs[0]
+    diffs = (np.array(rs[1:]) - r0).T
+    floor = _RRE_FLOOR * max(1.0, float(np.linalg.norm(r0)))
+    # Residuals that stopped moving are rounding noise; a relative cutoff
+    # would invert it and throw the point out to ~1e16.
+    if np.max(np.abs(diffs)) <= floor:
+        return None
+    u, s, vt = np.linalg.svd(diffs, full_matrices=False)
+    keep = s > floor
+    coef = vt[keep].T @ ((u[:, keep].T @ -r0) / s[keep])
+    return xs[0] + (np.array(xs[1:]) - xs[0]).T @ coef
 
 
 def minimal_displacement(

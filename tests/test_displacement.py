@@ -8,7 +8,6 @@ import pytest
 from mdvkit import displacement as disp_mod
 from mdvkit.displacement import (
     EXACT_AFFINE,
-    NORMALIZED_ITERATE,
     RESIDUAL_ITERATION,
     DisplacementEstimate,
     displacement_exact_affine,
@@ -206,23 +205,105 @@ def test_plateau_does_not_stop_iteration_early():
     assert max(norms) - min(norms) <= 1e-5
 
 
-def test_normalized_iterate_translation_is_exact_after_one_step():
-    # merely nonexpansive composition flattening to a translation: -x_n/n is
-    # exact from the first iterate and stays put for the patience window
+def test_relaxed_translation_composition_is_exact():
+    # merely nonexpansive composition flattening to a translation: the KM
+    # residual is the half offset from the first step, and its cycles hold
+    # only rounding, so no extrapolation is evaluated within the patience window
     r1, r2 = _reflection([1.0, 0.0]), _reflection([0.0, 1.0])
     comp = Composition([r1, r2])
     est = displacement_iterative(comp)
-    assert est.method == NORMALIZED_ITERATE and est.converged
+    assert est.method == RESIDUAL_ITERATION and est.converged
+    assert est.iterations == disp_mod._STALL_PATIENCE
     np.testing.assert_allclose(est.vector, [-1.0, 1.0], atol=1e-12)
 
 
-def test_normalized_iterate_two_periodic_orbit():
-    # T(x) = -x + c alternates between 0 and c from the origin; the averaged
-    # estimate heads to the true displacement vector, zero, like 1/n
+def test_relaxed_two_periodic_orbit_reaches_its_fixed_point():
+    # T(x) = -x + c alternates between 0 and c from the origin; its KM
+    # relaxation (Id + T) / 2 is the constant c / 2, a fixed point of T
     T = AffineMap(-np.eye(2), [0.3, -0.2])
     est = displacement_iterative(T, max_iter=50_000, tol=1e-9)
-    assert est.method == NORMALIZED_ITERATE
-    assert est.norm <= 1e-3
+    assert est.method == RESIDUAL_ITERATION and est.converged
+    assert est.norm <= 1e-12
+
+
+def _orthogonal(rng, dim):
+    q, r = np.linalg.qr(rng.standard_normal((dim, dim)))
+    return q * np.sign(np.diag(r))
+
+
+def _turn_fixing(rng, a):
+    """Orthogonal map fixing ``a`` that turns ``a``'s complement with no fixed vector."""
+    dim = a.size
+    basis = np.linalg.qr(np.column_stack([a, rng.standard_normal((dim, dim - 1))]))[0]
+    block = np.eye(dim)
+    for i in range(1, dim - 1, 2):
+        theta = rng.uniform(0.5, 2.5)
+        block[i:i + 2, i:i + 2] = [[np.cos(theta), -np.sin(theta)],
+                                   [np.sin(theta), np.cos(theta)]]
+    if dim % 2 == 0:
+        block[-1, -1] = -1.0
+    return basis @ block @ basis.T
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_relaxed_halfspace_turn_translation_matches_closed_form(seed):
+    # along a the pipeline is a clamp plus a shift by s = a.t / |a|^2; across
+    # a it is a turn without fixed vector plus a shift, which has a fixed
+    # point; so v = -min(0, s) a
+    rng = np.random.default_rng(seed)
+    dim = 4 + seed % 7
+    a = rng.standard_normal(dim)
+    t = 0.5 * rng.standard_normal(dim)
+    parts = [SetProjector(Halfspace(a, float(rng.standard_normal()))),
+             AffineMap(_turn_fixing(rng, a), np.zeros(dim)),
+             AffineMap.translation(t)]
+    comp = Composition([parts[i] for i in rng.permutation(3)])
+    est = displacement_iterative(comp, max_iter=20_000, tol=1e-7)
+    want = -min(0.0, float(a @ t) / float(a @ a)) * a
+    assert est.method == RESIDUAL_ITERATION and est.converged
+    assert np.linalg.norm(est.vector - want) <= 1e-4
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_relaxed_orthogonal_compositions_match_exact(seed):
+    rng = np.random.default_rng(100 + seed)
+    for dim in (2 + seed, 12 - seed // 2):
+        parts = [AffineMap(_orthogonal(rng, dim), 0.2 * rng.standard_normal(dim))
+                 for _ in range(2 + seed % 3)]
+        comp = Composition(parts)
+        est = displacement_iterative(comp, max_iter=20_000, tol=1e-7)
+        assert est.method == RESIDUAL_ITERATION and est.converged
+        exact = displacement_exact_affine(comp)
+        assert np.linalg.norm(est.vector - exact.vector) <= 1e-8
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_relaxed_dim_50_turn_with_a_near_identity_block_converges(seed):
+    # one 2x2 block turns by 0.0025 rad, which RRE cycles of only dim + 3
+    # steps do not resolve (capped up to 0.08 off); the answer is 0
+    rng = np.random.default_rng(seed)
+    block = np.zeros((50, 50))
+    for i, theta in enumerate(np.concatenate([[0.0025], rng.uniform(0.05, 3.0, 24)])):
+        block[2 * i:2 * i + 2, 2 * i:2 * i + 2] = [[np.cos(theta), -np.sin(theta)],
+                                                   [np.sin(theta), np.cos(theta)]]
+    basis = _orthogonal(rng, 50)
+    T = AffineMap(basis @ block @ basis.T, 0.2 * rng.standard_normal(50))
+    est = displacement_iterative(T, max_iter=20_000, tol=1e-7)
+    assert est.converged and est.norm <= 1e-4
+
+
+def test_extrapolation_counts_against_the_budget():
+    # dim 3: a cycle is 12 KM steps, and its proposal is the 13th iteration
+    rng = np.random.default_rng(7)
+    comp = Composition([AffineMap(_orthogonal(rng, 3), 0.2 * rng.standard_normal(3))
+                        for _ in range(2)])
+    exact = displacement_exact_affine(comp).vector
+    short = displacement_iterative(comp, max_iter=12, tol=1e-7)
+    assert short.iterations == 12 and np.linalg.norm(short.vector - exact) > 1e-3
+    proposed = displacement_iterative(comp, max_iter=13, tol=1e-7)
+    assert proposed.iterations == 13 and np.linalg.norm(proposed.vector - exact) <= 1e-8
+    for budget in (50, 71, 200):
+        assert displacement_iterative(comp, max_iter=budget, tol=1e-7).iterations <= budget
 
 
 def test_contractive_flatten_uses_residual_route():
@@ -265,6 +346,13 @@ def test_iterative_argument_validation():
         displacement_iterative(op, tol=0.0)
     with pytest.raises(ValidationError):
         displacement_iterative("not an operator")
+    for max_iter in (2.5, True):
+        with pytest.raises(ValidationError):
+            displacement_iterative(op, max_iter=max_iter)
+    for tol in (math.inf, math.nan):
+        with pytest.raises(ValidationError):
+            displacement_iterative(op, tol=tol)
+    assert displacement_iterative(op, max_iter=np.int64(5), tol=np.float64(1e-3)).iterations <= 5
 
 
 def test_estimate_container_invariants():
@@ -276,6 +364,10 @@ def test_estimate_container_invariants():
         DisplacementEstimate(np.zeros(2), -math.inf, 3, RESIDUAL_ITERATION, True)
     with pytest.raises(ValidationError):
         DisplacementEstimate(np.zeros(2), 0.0, 3, "made_up_method", True)
+    with pytest.raises(ValidationError):
+        DisplacementEstimate(np.zeros(2), 0.0, -3, RESIDUAL_ITERATION, True)
+    with pytest.raises(ValidationError):
+        DisplacementEstimate(np.array([math.nan, 0.0]), 0.0, 3, RESIDUAL_ITERATION, True)
 
 
 def test_exact_vs_iterative_agree_on_random_contractions():
