@@ -147,10 +147,7 @@ def displacement_iterative(
     """
     if not isinstance(T, Operator):
         raise ValidationError("displacement_iterative expects an Operator")
-    if not _is_integer(max_iter) or max_iter < 1:
-        raise ValidationError("max_iter must be an integer of at least one")
-    if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not 0.0 < tol < math.inf:
-        raise ValidationError("tol must be positive and finite")
+    _check_budget(max_iter, tol)
     x = np.zeros(T.dim) if x0 is None else as_vector(x0, T.dim).copy()
 
     flat = flatten_to_affine(T)
@@ -167,7 +164,7 @@ def displacement_iterative(
         def step(v):
             return M @ v + b
 
-    if contractive or T.regularity().is_averaged:
+    if contractive or T.is_averaged:
         return _residual_iteration(step, x, max_iter, tol)
 
     def relaxed(v):
@@ -179,6 +176,13 @@ def displacement_iterative(
 
 def _is_integer(n) -> bool:
     return isinstance(n, numbers.Integral) and not isinstance(n, bool)
+
+
+def _check_budget(max_iter, tol) -> None:
+    if not _is_integer(max_iter) or max_iter < 1:
+        raise ValidationError("max_iter must be an integer of at least one")
+    if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not 0.0 < tol < math.inf:
+        raise ValidationError("tol must be positive and finite")
 
 
 def _check_finite(x: np.ndarray) -> None:
@@ -250,7 +254,9 @@ def minimal_displacement(
     max_iter: int = DEFAULT_MAX_ITER,
     tol: float = DEFAULT_TOL,
 ) -> DisplacementEstimate:
-    """Exact estimate when the operator flattens to affine, iterative otherwise."""
+    """Exact estimate when the operator flattens to affine, iterative otherwise;
+    ``max_iter`` and ``tol`` are validated on both routes."""
+    _check_budget(max_iter, tol)
     if flatten_to_affine(T) is not None:
         return displacement_exact_affine(T)
     return displacement_iterative(T, x0=x0, max_iter=max_iter, tol=tol)

@@ -1,16 +1,18 @@
 """Nonexpansive operator algebra.
 
-Operator trees are immutable and evaluation is pure.  Affine leaves keep exact
-range computations available downstream; projector leaves of non-affine sets
-force the iterative fallback.  Averagedness bookkeeping follows the standard
-two-map composition rule and the weighted-mean rule for convex combinations;
-both are exercised by sampled inequalities in the test suite rather than
-assumed.
+Operator trees are immutable and evaluation is pure; ``_apply`` takes one
+vector or an ``(n, dim)`` stack of rows.  Affine leaves keep exact range
+computations available downstream; projector leaves of non-affine sets force
+the iterative fallback.  Whether a tree is averaged is decided cheaply and
+cached; the constant follows the standard two-map composition rule and the
+weighted-mean rule for convex combinations, both exercised by sampled
+inequalities in the test suite rather than assumed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -35,6 +37,17 @@ MU_CAP = 1e12
 def spectral_norm(M) -> float:
     """Largest singular value of ``M`` (the same LAPACK call as ``norm(M, 2)``)."""
     return float(np.linalg.svd(as_matrix(M), compute_uv=False)[0])
+
+
+def _matvec(M: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``M @ x`` for one vector, ``x @ M.T`` for an ``(n, dim)`` stack of rows."""
+    return M @ x if x.ndim == 1 else x @ M.T
+
+
+def _averaged_at(M: np.ndarray, alpha: float, tol: float = NORM_TOL) -> bool:
+    """Whether ``M = (1-alpha) Id + alpha N`` with ``N`` nonexpansive within ``tol``."""
+    N = (M - (1.0 - alpha) * np.eye(M.shape[0])) / alpha
+    return float(np.linalg.svd(N, compute_uv=False)[0]) <= 1.0 + tol
 
 
 class MonotoneAffine:
@@ -136,10 +149,16 @@ class Operator:
     __call__ = apply
 
     def _apply(self, x: np.ndarray) -> np.ndarray:  # pragma: no cover - abstract
+        """Evaluate at one vector or at each row of an ``(n, dim)`` stack."""
         raise NotImplementedError
 
+    @cached_property
+    def is_averaged(self) -> bool:
+        """Whether the tree certifies itself averaged, without computing a constant."""
+        return self.regularity().is_averaged
+
     def regularity(self) -> Regularity:
-        """Best certificate this tree can derive for itself (cached)."""
+        """Best certificate this tree can derive for itself, with its constant (cached)."""
         reg = getattr(self, "_reg_cache", None)
         if reg is None:
             reg = self._regularity()
@@ -186,10 +205,15 @@ class AffineMap(Operator):
         return cls(np.eye(offset.size), offset)
 
     def _apply(self, x):
-        return self.M @ x + self.b
+        return _matvec(self.M, x) + self.b
 
     def _affine_pair(self):
         return self.M, self.b
+
+    @cached_property
+    def is_averaged(self):
+        # minimal_averagedness(M) is not None, without its bisection
+        return _averaged_at(self.M, ALPHA_CEILING) or _averaged_at(self.M, ALPHA_FLOOR)
 
     def _regularity(self):
         alpha = minimal_averagedness(self.M)
@@ -259,7 +283,7 @@ class GradientStep(Operator):
         self.dim = Q.shape[0]
 
     def _apply(self, x):
-        return x - self.step * (self.Q @ x + self.q)
+        return x - self.step * (_matvec(self.Q, x) + self.q)
 
     def _affine_pair(self):
         return np.eye(self.dim) - self.step * self.Q, -self.step * self.q
@@ -291,7 +315,7 @@ class Resolvent(Operator):
         self._Kq = K @ operator.q
 
     def _apply(self, x):
-        return self._K @ x - self._Kq
+        return _matvec(self._K, x) - self._Kq
 
     def _affine_pair(self):
         return self._K, -self._Kq
@@ -362,12 +386,16 @@ class Composition(Operator):
             M, b = Mp @ M, Mp @ b + bp
         return M, b
 
+    @cached_property
+    def is_averaged(self):
+        return all(p.is_averaged for p in self.parts)
+
     def _regularity(self):
-        regs = [p.regularity() for p in self.parts]
-        if len(regs) == 1:
-            return regs[0]
-        if any(not r.is_averaged for r in regs):
+        if len(self.parts) == 1:
+            return self.parts[0].regularity()
+        if not self.is_averaged:
             return Regularity.nonexpansive()
+        regs = [p.regularity() for p in self.parts]
         alpha = regs[0].averagedness
         for r in regs[1:]:
             a2 = r.averagedness
@@ -417,10 +445,12 @@ class ConvexCombination(Operator):
             b += w * bp
         return M, b
 
+    is_averaged = Composition.is_averaged  # averaged iff every part is
+
     def _regularity(self):
-        regs = [p.regularity() for p in self.parts]
-        if any(not r.is_averaged for r in regs):
+        if not self.is_averaged:
             return Regularity.nonexpansive()
+        regs = [p.regularity() for p in self.parts]
         if all(r.kind == "firmly" for r in regs):
             return Regularity.firmly()
         alpha = float(np.sum(self.weights * np.array([r.averagedness for r in regs])))
@@ -443,21 +473,14 @@ def minimal_averagedness(M, tol: float = NORM_TOL) -> float | None:
         raise ValidationError("tolerance must be nonnegative")
     if spectral_norm(M) > 1.0 + tol:
         raise ValidationError("matrix has spectral norm above one: not nonexpansive")
-    eye = np.eye(M.shape[0])
-    limit = 1.0 + tol
-
-    def feasible(alpha: float) -> bool:
-        return float(np.linalg.svd((M - (1.0 - alpha) * eye) / alpha,
-                                   compute_uv=False)[0]) <= limit
-
-    if feasible(ALPHA_FLOOR):
+    if _averaged_at(M, ALPHA_FLOOR, tol):
         return ALPHA_FLOOR
-    if not feasible(ALPHA_CEILING):
+    if not _averaged_at(M, ALPHA_CEILING, tol):
         return None
     lo, hi = ALPHA_FLOOR, ALPHA_CEILING
     while hi - lo > 1e-10:
         mid = 0.5 * (lo + hi)
-        if feasible(mid):
+        if _averaged_at(M, mid, tol):
             hi = mid
         else:
             lo = mid
@@ -497,9 +520,9 @@ def flatten_to_affine(T: Operator) -> AffineMap | None:
 
     Returns ``None`` when a projector of a non-affine set occurs anywhere in
     the tree.  The collapsed map is cross-checked against tree evaluation at
-    dim+11 points (0, the unit vectors, ten seeded Gaussian samples) within a
-    relative 1e-9; a disagreement raises ``NumericalError`` naming the first
-    failing probe and caches nothing, otherwise the result is cached.
+    dim+11 points (0, the unit vectors, ten seeded Gaussian samples), stacked
+    into one tree walk, within a relative 1e-9.  A disagreement raises
+    ``NumericalError`` naming the first failing probe; only agreement is cached.
     """
     if not isinstance(T, Operator):
         raise ValidationError("flatten_to_affine expects an Operator")
@@ -517,7 +540,7 @@ def flatten_to_affine(T: Operator) -> AffineMap | None:
         flat = AffineMap(M, b)
         probes = np.vstack((np.zeros(T.dim), np.eye(T.dim),
                             np.random.default_rng(0).standard_normal((10, T.dim))))
-        direct = np.array([T._apply(p) for p in probes])
+        direct = T._apply(probes)
         err = np.linalg.norm(direct - (probes @ M.T + b), axis=1)
         bad = np.flatnonzero(err > 1e-9 * (1.0 + np.linalg.norm(direct, axis=1)))
         if bad.size:

@@ -21,7 +21,7 @@ class ConvexSet(ABC):
 
     @abstractmethod
     def _project(self, x: np.ndarray) -> np.ndarray:
-        ...
+        """Project one vector, or each row of an ``(n, dim)`` stack."""
 
     def distance(self, x) -> float:
         x = as_vector(x, self.dim)
@@ -64,6 +64,9 @@ class Ball(ConvexSet):
 
     def _project(self, x):
         d = x - self.center
+        if x.ndim == 2:  # rows within the radius are returned as they are
+            n = np.maximum(np.linalg.norm(d, axis=1, keepdims=True), self.radius)
+            return np.where(n == self.radius, x, self.center + d * (self.radius / n))
         n = float(np.linalg.norm(d))
         if n <= self.radius:
             return x.copy()
@@ -87,6 +90,9 @@ class Halfspace(ConvexSet):
         self.dim = self.normal.size
 
     def _project(self, x):
+        if x.ndim == 2:
+            slack = np.maximum(x @ self.normal - self.offset, 0.0)
+            return x - np.outer(slack / self._nsq, self.normal)
         slack = float(self.normal @ x) - self.offset
         if slack <= 0.0:
             return x.copy()
@@ -106,7 +112,10 @@ class AffineSet(ConvexSet):
         self.dim = subspace.dim
 
     def _project(self, x):
-        return self.subspace.project(x)
+        if x.ndim == 1:
+            return self.subspace.project(x)
+        base, basis = self.subspace.base, self.subspace.basis
+        return base + ((x - base) @ basis) @ basis.T
 
     def _affine_projection(self):
         P = self.subspace.basis @ self.subspace.basis.T
@@ -124,7 +133,7 @@ class Singleton(ConvexSet):
         self.dim = self.point.size
 
     def _project(self, x):
-        return self.point.copy()
+        return np.broadcast_to(self.point, x.shape).copy()
 
     def _affine_projection(self):
         return np.zeros((self.dim, self.dim)), self.point.copy()

@@ -89,7 +89,8 @@ def test_exact_rejects_non_affine():
 
 
 class _Bumped(Operator):
-    """Claims the identity as its affine pair but evaluates ``x + bump(x) e0``."""
+    """Claims the identity as its affine pair but evaluates ``x + bump(x) e0``,
+    on one vector or on each row of a stack (the ``_apply`` contract)."""
 
     def __init__(self, bump, dim=3):
         self.bump = bump
@@ -97,7 +98,7 @@ class _Bumped(Operator):
 
     def _apply(self, x):
         out = x.copy()
-        out[0] += self.bump(x)
+        out[..., 0] += self.bump(x)
         return out
 
     def _affine_pair(self):
@@ -109,7 +110,7 @@ class _Bumped(Operator):
 
 def test_flatten_cross_check_sees_a_bump_that_vanishes_at_the_unit_probes():
     # x0 * x1 vanishes at 0 and every e_i; only the sampled probes expose it
-    op = _Bumped(lambda x: x[0] * x[1])
+    op = _Bumped(lambda x: x[..., 0] * x[..., 1])
     for _ in range(2):  # a failed cross-check leaves nothing cached
         for route in (flatten_to_affine, displacement_range_affine, displacement_iterative):
             with pytest.raises(NumericalError, match="disagrees"):
@@ -118,7 +119,7 @@ def test_flatten_cross_check_sees_a_bump_that_vanishes_at_the_unit_probes():
 
 def test_flatten_probe_check_fires_and_reports_the_first_failing_probe():
     # disagrees at e1 by 1e-3 and at e2 by 2e-3
-    op = _Bumped(lambda x: 1e-3 * (x[1] + 2.0 * x[2]))
+    op = _Bumped(lambda x: 1e-3 * (x[..., 1] + 2.0 * x[..., 2]))
     with pytest.raises(NumericalError, match=r"error 1\.000e-03"):
         flatten_to_affine(op)
     with pytest.raises(NumericalError, match="disagrees"):
@@ -353,6 +354,19 @@ def test_iterative_argument_validation():
         with pytest.raises(ValidationError):
             displacement_iterative(op, tol=tol)
     assert displacement_iterative(op, max_iter=np.int64(5), tol=np.float64(1e-3)).iterations <= 5
+
+
+@pytest.mark.parametrize("op", [AffineMap.translation([0.1, 0.2]),
+                                SetProjector(Ball([0.0, 0.0], 1.0))],
+                         ids=["exact_route", "iterative_route"])
+def test_minimal_displacement_validates_budget_on_both_routes(op):
+    with pytest.raises(ValidationError, match="max_iter must be an integer of at least one"):
+        minimal_displacement(op, max_iter=2.5)
+    with pytest.raises(ValidationError, match="tol must be positive and finite"):
+        minimal_displacement(op, tol=math.inf)
+    with pytest.raises(ValidationError):
+        minimal_displacement(op, max_iter=2.5, tol=math.inf)
+    assert minimal_displacement(op, max_iter=np.int64(5), tol=np.float64(1e-3)).iterations <= 5
 
 
 def test_estimate_container_invariants():

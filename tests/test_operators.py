@@ -1,5 +1,7 @@
 """Operator variants: construction, regularity certificates, flattening."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,9 +26,17 @@ from mdvkit.operators import (
     minimal_averagedness,
     spectral_norm,
 )
-from mdvkit.sets import AffineSet, Ball, Singleton
-from mdvkit.numeric import AffineSubspace
-from mdvkit.verify import random_averaged_affine, random_structured_averaged
+from mdvkit import operators as operators_mod
+from mdvkit.sets import AffineSet, Ball, Box, Halfspace, Singleton
+from mdvkit.numeric import AffineSubspace, orthonormal_range_basis
+from mdvkit.scenario import _OPERATORS, _SETS
+from mdvkit.verify import (
+    builtin_suite,
+    random_averaged_affine,
+    random_merely_nonexpansive_affine,
+    random_psd_monotone,
+    random_structured_averaged,
+)
 
 
 def _rotation(theta):
@@ -359,3 +369,169 @@ def test_spectral_norm_matches_numpy_norm2_bitwise(rows, cols, rank):
 def test_affine_map_keeps_its_spectral_norm():
     M = 0.9 * _rotation(0.3)
     assert AffineMap(M, [0.0, 0.0]).norm == spectral_norm(M)
+
+
+# ---------------------------------------------------------------------------
+# the row contract: _apply / _project on an (n, dim) stack equals row by row
+
+_DIM = 4
+
+
+def _set_cases():
+    rng = np.random.default_rng(21)
+    basis = orthonormal_range_basis(rng.standard_normal((_DIM, 2)))
+    return {
+        "box": Box(-0.5 * np.ones(_DIM), np.ones(_DIM)),
+        "ball": Ball(0.1 * rng.standard_normal(_DIM), 1.5),
+        "halfspace": Halfspace(rng.standard_normal(_DIM), 0.3),
+        "affine_subspace": AffineSet(AffineSubspace(rng.standard_normal(_DIM), basis)),
+        "singleton": Singleton(rng.standard_normal(_DIM)),
+    }
+
+
+def _operator_cases():
+    rng = np.random.default_rng(22)
+    sets = _set_cases()
+    affine = random_averaged_affine(rng, _DIM)
+    orthogonal = random_merely_nonexpansive_affine(rng, _DIM)
+    mono = random_psd_monotone(rng, _DIM)
+    Q = random_psd_monotone(rng, _DIM, singular=True).Q
+    proj = {kind: SetProjector(s) for kind, s in sets.items()}
+    return {
+        "affine": affine,
+        "projector": proj["ball"],
+        "compose": Composition([affine, proj["box"], orthogonal, proj["halfspace"]]),
+        "combo": ConvexCombination([0.2, 0.3, 0.5],
+                                   [proj["ball"], orthogonal, proj["affine_subspace"]]),
+        "resolvent": Resolvent(mono),
+        "reflected": ReflectedResolvent(mono),
+        "gradstep": GradientStep(Q, rng.standard_normal(_DIM), 1.0 / spectral_norm(Q)),
+    }
+
+
+def _stack():
+    """Rows at radius 0.1 to 10: inside and outside every bounded case."""
+    rng = np.random.default_rng(23)
+    rows = rng.standard_normal((12, _DIM))
+    return rows * np.geomspace(0.1, 10.0, 12)[:, None]
+
+
+def _assert_rowwise(evaluate, X):
+    stacked = evaluate(X)
+    assert stacked.shape == X.shape
+    single = np.array([evaluate(x) for x in X])
+    err = np.linalg.norm(stacked - single, axis=1)
+    assert np.all(err <= 1e-12 * np.linalg.norm(single, axis=1)), err
+    one = evaluate(X[:1])  # an n = 1 stack
+    assert one.shape == (1, _DIM)
+    assert np.linalg.norm(one[0] - single[0]) <= 1e-12 * np.linalg.norm(single[0])
+
+
+def test_row_cases_cover_every_kind_of_the_grammar():
+    assert set(_set_cases()) == set(_SETS)
+    assert set(_operator_cases()) == set(_OPERATORS)
+
+
+@pytest.mark.parametrize("kind", sorted(_SETS))
+def test_project_on_a_stack_matches_row_by_row(kind):
+    _assert_rowwise(_set_cases()[kind]._project, _stack())
+
+
+@pytest.mark.parametrize("kind", sorted(_OPERATORS))
+def test_apply_on_a_stack_matches_row_by_row(kind):
+    _assert_rowwise(_operator_cases()[kind]._apply, _stack())
+
+
+def test_stack_has_rows_on_both_sides_of_the_ball_and_halfspace():
+    sets, X = _set_cases(), _stack()
+    inside = np.linalg.norm(X - sets["ball"].center, axis=1) <= sets["ball"].radius
+    slack = X @ sets["halfspace"].normal - sets["halfspace"].offset
+    assert inside.any() and not inside.all()
+    assert (slack < 0).any() and (slack > 0).any()
+    # rows inside (or on the feasible side) come back unchanged, as one vector does
+    np.testing.assert_array_equal(sets["ball"]._project(X)[inside], X[inside])
+    np.testing.assert_array_equal(sets["halfspace"]._project(X)[slack <= 0], X[slack <= 0])
+
+
+def test_one_vector_keeps_its_matvec_arithmetic():
+    # 1-d input is M @ x bit for bit, so iterates do not move
+    op = random_averaged_affine(np.random.default_rng(24), 7)
+    x = np.random.default_rng(25).standard_normal(7)
+    assert np.array_equal(op._apply(x), op.M @ x + op.b)
+
+
+# ---------------------------------------------------------------------------
+# the cheap averaged kind
+
+
+@pytest.mark.parametrize("generator", [
+    partial(random_averaged_affine, norm=0.5),
+    partial(random_averaged_affine, norm=0.95),
+    partial(random_averaged_affine, norm=1.0),
+    random_merely_nonexpansive_affine,
+    random_structured_averaged,
+])
+def test_affine_kind_agrees_with_minimal_averagedness(generator):
+    rng = np.random.default_rng(31)
+    for dim in (2, 3, 5, 8):
+        for _ in range(10):
+            op = generator(rng, dim)
+            assert op.is_averaged == (minimal_averagedness(op.M) is not None)
+
+
+def test_affine_kind_sees_both_answers():
+    rng = np.random.default_rng(32)
+    assert random_averaged_affine(rng, 5, norm=0.5).is_averaged
+    assert not random_merely_nonexpansive_affine(rng, 5).is_averaged
+    assert AffineMap.identity(3).is_averaged  # the ALPHA_FLOOR case
+
+
+def _random_tree(rng, depth):
+    if depth == 0 or rng.random() < 0.3:
+        choice = int(rng.integers(5))
+        if choice == 0:
+            return random_averaged_affine(rng, 3, norm=float(rng.choice([0.5, 1.0])))
+        if choice == 1:
+            return random_merely_nonexpansive_affine(rng, 3)
+        if choice == 2:
+            return SetProjector(Ball(rng.standard_normal(3), 1.0))
+        if choice == 3:
+            return ReflectedResolvent(MonotoneAffine(
+                rng.choice([0.0, 1.0]) * np.eye(3) + np.array([[0, 1, 0], [-1, 0, 0], [0, 0, 0]]),
+                rng.standard_normal(3)))
+        Q = np.diag(rng.random(3) + 0.1)
+        return GradientStep(Q, np.zeros(3), float(rng.choice([1.0, 2.0])) / float(Q.max()))
+    parts = [_random_tree(rng, depth - 1) for _ in range(int(rng.integers(1, 4)))]
+    if rng.random() < 0.5:
+        return Composition(parts)
+    weights = rng.random(len(parts)) + 0.1
+    return ConvexCombination(weights / weights.sum(), parts)
+
+
+def _kind_from_leaf_certificates(op):
+    """Averaged iff every leaf's full certificate (the bisection for affine leaves) says so."""
+    if isinstance(op, (Composition, ConvexCombination)):
+        return all(_kind_from_leaf_certificates(p) for p in op.parts)
+    return op.regularity().is_averaged
+
+
+@given(st.integers(min_value=0, max_value=2**31 - 1))
+@settings(max_examples=60, deadline=None)
+def test_tree_kind_agrees_with_its_regularity(seed):
+    tree = _random_tree(np.random.default_rng(seed), 3)
+    kind = tree.is_averaged  # decided before any certificate is computed
+    assert kind == _kind_from_leaf_certificates(tree)
+    reg = tree.regularity()
+    assert reg.is_averaged == kind
+    flat = flatten_to_affine(tree)
+    if kind and flat is not None:  # the combinator constant is a valid certificate
+        assert minimal_averagedness(flat.M) <= reg.averagedness + 1e-8
+
+
+def test_builtin_suite_never_runs_the_averagedness_bisection(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("minimal_averagedness called on the hot path")
+
+    monkeypatch.setattr(operators_mod, "minimal_averagedness", refuse)
+    reports = builtin_suite(randomized_count=6, cyclic_count=2, cocoercive_count=2)
+    assert reports

@@ -209,6 +209,38 @@ def test_translation_formula_pointwise():
     assert rep.passed and rep.discrepancy <= 1e-10
 
 
+class _FixedDraws:
+    """Stands in for ``np.random.default_rng``: every draw returns ``rows``."""
+
+    def __init__(self, rows):
+        self.rows = rows
+
+    def standard_normal(self, shape):
+        assert shape == self.rows.shape
+        return self.rows.copy()
+
+
+def test_translation_formula_witness_is_the_first_row_with_the_largest_error(monkeypatch):
+    # With Q = 0 and coordinate-symmetric q and y, swapping the two coordinates
+    # of a sample swaps every intermediate exactly, so (2, -2.5) and (-2.5, 2)
+    # tie for the largest error; the earlier one is the witness.
+    A = MonotoneAffine(np.zeros((2, 2)), [0.3, 0.3])
+    B = MonotoneAffine(np.zeros((2, 2)), [-0.2, -0.2])
+    rows = np.array([[0.4, -0.6], [2.0, -2.5], [-2.5, 2.0], [-0.9, 3.3]])
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: _FixedDraws(rows))
+    rep = check_translation_formula(A, B, [0.45, 0.45], samples=4)
+    assert rep.passed and rep.discrepancy > 0.0
+    assert rep.witness == [2.0, -2.5]
+
+
+def test_translation_formula_without_error_has_no_witness():
+    # y = 0 makes both sides the same floating-point expression
+    A = MonotoneAffine(np.diag([1.0, 2.0]), [0.3, -0.1])
+    B = MonotoneAffine(np.diag([0.5, 0.0]), [0.2, 0.4])
+    rep = check_translation_formula(A, B, [0.0, 0.0], samples=50)
+    assert rep.discrepancy == 0.0 and rep.witness is None
+
+
 def test_range_identity_reflected_singular():
     A = MonotoneAffine([[1.0, 0.0], [0.0, 0.0]], [0.5, -0.25])
     rep = check_range_identity_reflected(A)
