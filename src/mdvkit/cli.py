@@ -63,8 +63,11 @@ def _emit(payload: dict, fmt: str, out: str | None) -> None:
         else scn_mod.report_to_csv(scn_mod.stringify_numbers(payload))
     if out is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         scn_mod.write_atomic(out, text)
+    except OSError as exc:
+        raise ValidationError(f"cannot write {out}: {exc}") from exc
 
 
 def cmd_estimate(args) -> int:

@@ -10,6 +10,8 @@ Krasnosel'skii-Mann relaxation ``(Id + T) / 2``, which is averaged and whose
 minimal displacement vector is half that of ``T`` (Baillon-Bruck-Reich 1978);
 when it is affine, restarted reduced-rank extrapolation (RRE; Sidi, *Vector
 Extrapolation Methods*, 2017) proposes restart points along the way.
+The iteration stops once a residual is certified within ``tol`` of the vector
+by the range calculus of compositions and convex combinations.
 """
 
 from __future__ import annotations
@@ -21,8 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, UnsupportedOperatorError, ValidationError
-from .numeric import AffineSubspace, as_vector, orthonormal_range_basis
-from .operators import Operator, flatten_to_affine
+from .numeric import AffineSubspace, as_vector, nnls, orthonormal_range_basis
+from .operators import Cover, Operator, flatten_to_affine
 
 EXACT_AFFINE = "exact_affine"
 RESIDUAL_ITERATION = "residual_iteration"
@@ -54,6 +56,9 @@ class DisplacementEstimate:
     ``residual`` is the last successive-estimate difference for the iterative
     methods.  For the exact method it is the attainment residual: the distance
     of the vector from the cached displacement range, i.e. rounding only.
+    ``error_bound`` certifies the distance of ``vector`` from the minimal
+    displacement vector when an iterative run stopped on it (so it is at most
+    ``tol``); it is None otherwise, and reports do not carry it.
     """
 
     vector: np.ndarray
@@ -61,6 +66,7 @@ class DisplacementEstimate:
     iterations: int
     method: str
     converged: bool
+    error_bound: float | None = None
 
     def __post_init__(self):
         if self.method not in _METHODS:
@@ -71,6 +77,8 @@ class DisplacementEstimate:
             raise ValidationError("iterations must be a nonnegative integer")
         if not np.all(np.isfinite(self.vector)):
             raise ValidationError("estimate vector entries must be finite")
+        if self.error_bound is not None and not 0.0 <= self.error_bound < math.inf:
+            raise ValidationError("error_bound must be nonnegative and finite")
         if self.method == EXACT_AFFINE and (self.iterations != 0 or not self.converged):
             raise ValidationError("exact estimates have zero iterations and converge")
 
@@ -128,12 +136,16 @@ def displacement_iterative(
     vector is half of ``T``'s, and report its residual doubled.  When
     ``T_half`` is affine, restarted RRE proposes a restart point every
     ``min(2 (dim + 3), 120)`` steps, kept only if its evaluated residual is
-    smaller; each proposal counts as one iteration.  Iteration stops once
-    successive vector estimates stay within ``tol`` for a run of consecutive
-    steps, or after ``max_iter`` iterations.  The run requirement guards
-    against transient plateaus: piecewise-affine geometry (projections onto
-    boxes or halfspaces) can hold the residual exactly constant for a stretch
-    while the iterate is still sliding toward the limit.
+    smaller; each proposal counts as one iteration.  On quiet steps
+    (successive estimates within ``tol``) the run stops with ``error_bound``
+    set once ``|e|``, else ``|e - v|`` (flattenable ``T``), else
+    ``sqrt(|e|^2 - |p|^2)`` (``p`` the cover point) is at most ``tol``; the
+    last has a rounding floor near ``sqrt(2 eps |x| |p|)``.  Failing that,
+    iteration stops once successive estimates stay within ``tol`` for 64
+    consecutive steps, or after ``max_iter`` iterations.  The run
+    requirement guards against transient plateaus: piecewise-affine geometry
+    (projections onto boxes or halfspaces) can hold the residual exactly
+    constant for a stretch while the iterate is still sliding toward the limit.
 
     Parameters
     ----------
@@ -164,14 +176,15 @@ def displacement_iterative(
         def step(v):
             return M @ v + b
 
+    bound = _error_bound(T, flat, tol)
     if contractive or T.is_averaged:
-        return _residual_iteration(step, x, max_iter, tol)
+        return _residual_iteration(step, x, max_iter, tol, bound)
 
     def relaxed(v):
         return v + _KM_STEP * (step(v) - v)
 
     cycle = None if flat is None else min(2 * (T.dim + 3), _RRE_MAX_CYCLE)
-    return _residual_iteration(relaxed, x, max_iter, tol, _KM_STEP, cycle)
+    return _residual_iteration(relaxed, x, max_iter, tol, bound, _KM_STEP, cycle)
 
 
 def _is_integer(n) -> bool:
@@ -190,9 +203,54 @@ def _check_finite(x: np.ndarray) -> None:
         raise NumericalError("iteration produced non-finite values")
 
 
-def _residual_iteration(step, x, max_iter, tol, scale=1.0, cycle=None) -> DisplacementEstimate:
-    """Iterate ``step`` and estimate by its residual divided by ``scale``; with
-    ``cycle`` (affine ``step`` only), propose a restart point every ``cycle`` steps."""
+def _cover(T: Operator) -> Cover | None:
+    """Superset of ``cl ran(Id - T)`` (None: R^dim), exact when ``T`` flattens."""
+    if flatten_to_affine(T) is not None:
+        rng_space = displacement_range_affine(T)
+        return Cover(rng_space.base, rng_space.basis, np.zeros((T.dim, 0)))
+    return T._displacement_cover(_cover)
+
+
+def _cover_point(T: Operator) -> np.ndarray | None:
+    """Nearest point to the origin of :func:`_cover` (None: the origin)."""
+    cover = _cover(T)
+    if cover is None:
+        return None
+    basis = orthonormal_range_basis(cover.span)
+    base, rays = (m - basis @ (basis.T @ m) for m in (cover.base, cover.rays))
+    if rays.shape[1]:
+        base = base + rays @ nnls(rays, -base)
+    return base
+
+
+def _error_bound(T: Operator, flat, tol):
+    """``bound(e) >= |e - v|`` for ``e`` in ``cl ran(Id - T)``; ``v`` or ``p``
+    is computed once, when ``|e| > tol`` first."""
+    if flat is not None and flat.norm < 1.0:  # I - M is invertible: v = 0
+        return _norm
+    pending, p = True, None
+
+    def bound(e):
+        nonlocal pending, p
+        err = _norm(e)
+        if err <= tol:
+            return err
+        if pending:
+            pending = False
+            p = (_cover_point(T) if flat is None
+                 else displacement_range_affine(T).project(np.zeros(T.dim)))
+        if p is None:
+            return err
+        d = e - p  # p = v for flat T; else |e|^2 - |p|^2, with <d, p> >= 0 up to rounding
+        return _norm(d) if flat is not None else math.sqrt(d @ d + 2.0 * max(0.0, d @ p))
+
+    return bound
+
+
+def _residual_iteration(step, x, max_iter, tol, bound, scale=1.0, cycle=None) -> DisplacementEstimate:
+    """Iterate ``step`` and estimate by its residual divided by ``scale``,
+    certified by ``bound`` on quiet steps; with ``cycle`` (affine ``step``
+    only), propose a restart point every ``cycle`` steps."""
     tx = step(x)
     est = x - tx
     residual = math.inf
@@ -213,12 +271,17 @@ def _residual_iteration(step, x, max_iter, tol, scale=1.0, cycle=None) -> Displa
                     iterations += 1
                     tx_hat = step(x_hat)
                     r_hat = x_hat - tx_hat
-                    if np.all(np.isfinite(r_hat)) and np.linalg.norm(r_hat) < np.linalg.norm(new_est):
+                    if np.all(np.isfinite(r_hat)) and _norm(r_hat) < _norm(new_est):
                         x, tx, new_est = x_hat, tx_hat, r_hat
                 xs, rs = [x], [new_est]
-        residual = float(np.linalg.norm(new_est - est)) / scale
+        residual = _norm(new_est - est) / scale
         est = new_est
         stall = stall + 1 if residual <= tol else 0
+        if stall:
+            e = est / scale
+            err = bound(e)
+            if err <= tol:
+                return DisplacementEstimate(e, residual, iterations, RESIDUAL_ITERATION, True, err)
         if stall >= _STALL_PATIENCE:
             converged = True
             break
@@ -226,6 +289,10 @@ def _residual_iteration(step, x, max_iter, tol, scale=1.0, cycle=None) -> Displa
             _check_finite(x)
     _check_finite(est)
     return DisplacementEstimate(est / scale, residual, iterations, RESIDUAL_ITERATION, converged)
+
+
+def _norm(v: np.ndarray) -> float:
+    return math.sqrt(v @ v)  # np.linalg.norm of a 1-d vector, bit for bit
 
 
 def _rre_point(xs, rs):

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -91,6 +92,23 @@ class MonotoneAffine:
 
     def __repr__(self):
         return f"MonotoneAffine(dim={self.dim})"
+
+
+class Cover(NamedTuple):
+    """``base + span(span columns) + cone(rays columns)``, a closed convex
+    superset of a displacement range; None stands for all of R^dim."""
+
+    base: np.ndarray
+    span: np.ndarray
+    rays: np.ndarray
+
+    @staticmethod
+    def weighted_sum(covers, weights) -> "Cover | None":
+        """``sum_i w_i C_i`` for ``w_i > 0`` (subspaces and cones absorb ``w_i``)."""
+        if any(c is None for c in covers):
+            return None
+        return Cover(sum(w * c.base for w, c in zip(weights, covers)),
+                     np.hstack([c.span for c in covers]), np.hstack([c.rays for c in covers]))
 
 
 @dataclass(frozen=True)
@@ -172,6 +190,10 @@ class Operator:
         """``(M, b)`` with ``self(x) == M @ x + b``, or None when not affine."""
         return None
 
+    def _displacement_cover(self, cover) -> Cover | None:
+        """A :class:`Cover` of ``{x - self(x)}``; ``cover(part)`` gives a part's."""
+        return None
+
 
 class AffineMap(Operator):
     """Affine map ``x -> Mx + b`` with spectral norm of M at most one.
@@ -239,6 +261,10 @@ class SetProjector(Operator):
 
     def _affine_pair(self):
         return self.set._affine_projection()
+
+    def _displacement_cover(self, cover):
+        rays = self.set._normal_rays()
+        return None if rays is None else Cover(np.zeros(self.dim), np.zeros((self.dim, 0)), rays)
 
     def _regularity(self):
         return Regularity.firmly()
@@ -386,6 +412,10 @@ class Composition(Operator):
             M, b = Mp @ M, Mp @ b + bp
         return M, b
 
+    def _displacement_cover(self, cover):
+        # x - T_m..T_1 x telescopes into the parts' displacements along the orbit
+        return Cover.weighted_sum([cover(p) for p in self.parts], np.ones(len(self.parts)))
+
     @cached_property
     def is_averaged(self):
         return all(p.is_averaged for p in self.parts)
@@ -444,6 +474,10 @@ class ConvexCombination(Operator):
             M += w * Mp
             b += w * bp
         return M, b
+
+    def _displacement_cover(self, cover):
+        # x - sum w_i T_i x = sum w_i (x - T_i x)
+        return Cover.weighted_sum([cover(p) for p in self.parts], self.weights)
 
     is_averaged = Composition.is_averaged  # averaged iff every part is
 

@@ -482,9 +482,20 @@ def write_atomic(path: str, text: str) -> None:
 
 
 def load_report(path: str) -> dict:
+    """A saved report of a known kind whose rows (``checks`` or ``estimates``) are objects."""
     payload = _read_json(path, "report")
     if not isinstance(payload, dict) or payload.get("schema_version") != SCHEMA_VERSION:
         raise ValidationError(f"{path}: not a schema_version={SCHEMA_VERSION} report")
+    kind = payload.get("kind")
+    if not isinstance(kind, str) or kind not in _CSV:
+        _fail(path, f"kind must be one of {', '.join(sorted(_CSV))}")
+    rows_key = _CSV[kind][0]
+    rows = payload.get(rows_key, [])
+    if not isinstance(rows, list):
+        _fail(path, f"{rows_key} must be an array of objects")
+    for i, row in enumerate(rows):
+        if not isinstance(row, dict):
+            _fail(f"{path}: {rows_key}[{i}]", "expected an object")
     return payload
 
 

@@ -34,6 +34,11 @@ class ConvexSet(ABC):
         """``(P, c)`` with ``project(x) == P @ x + c``, or None when not affine."""
         return None
 
+    def _normal_rays(self) -> np.ndarray | None:
+        """Columns whose cone holds every ``x - project(x)`` (the polar of the
+        recession cone), or None for R^dim; affine sets flatten instead."""
+        return None
+
 
 class Box(ConvexSet):
     """Axis-aligned box ``{lo <= x <= hi}`` (componentwise)."""
@@ -97,6 +102,9 @@ class Halfspace(ConvexSet):
         if slack <= 0.0:
             return x.copy()
         return x - (slack / self._nsq) * self.normal
+
+    def _normal_rays(self):
+        return self.normal[:, None]
 
     def __repr__(self):
         return f"Halfspace(dim={self.dim})"

@@ -117,6 +117,37 @@ def test_report_roundtrip(tmp_path, capsys):
     assert json.loads(rendered)["name"] == "cli-good"
 
 
+@pytest.mark.parametrize("command", [["estimate", REFLECTIONS], ["verify", PROJECTOR_MIX]])
+def test_out_into_a_missing_directory_exits_two(command, tmp_path, capsys):
+    out = str(tmp_path / "missing" / "x.json")
+    assert main([*command, "--out", out]) == EXIT_INVALID
+    assert f"error: cannot write {out}: " in capsys.readouterr().err
+    assert not (tmp_path / "missing").exists()
+
+
+@pytest.mark.parametrize(
+    "kind, rows_key, rows, message",
+    [
+        ("verify", "checks", 5, "checks must be an array of objects"),
+        ("verify", "checks", {"check_name": "x"}, "checks must be an array of objects"),
+        ("verify", "checks", [5], "checks[0]: expected an object"),
+        ("estimate", "estimates", [5], "estimates[0]: expected an object"),
+        ("estimate", "estimates", [{"label": "op[0]"}, None], "estimates[1]: expected an object"),
+        ("estimate", "estimates", "rows", "estimates must be an array of objects"),
+        ("mystery", "checks", [], "kind must be one of estimate, verify"),
+        (["verify"], "checks", [], "kind must be one of estimate, verify"),
+    ],
+)
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_malformed_report_rows_exit_two_with_their_path(kind, rows_key, rows, message, fmt,
+                                                        tmp_path, capsys):
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps({"schema_version": 1, "kind": kind, "name": "r", "seed": 0,
+                                rows_key: rows, "summary": {}}))
+    assert main(["report", str(path), "--format", fmt]) == EXIT_INVALID
+    assert f"error: {path}: {message}" in capsys.readouterr().err
+
+
 def test_builtin_suite_deterministic(tmp_path):
     a, b = str(tmp_path / "a.json"), str(tmp_path / "b.json")
     assert main(["verify", "--builtin-suite", "--seed", "7", "--out", a]) == EXIT_OK

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mdvkit import displacement as disp_mod
 from mdvkit.displacement import (
@@ -17,6 +19,7 @@ from mdvkit.displacement import (
     minimal_displacement,
 )
 from mdvkit.errors import NumericalError, UnsupportedOperatorError, ValidationError
+from mdvkit.numeric import AffineSubspace, nnls, orthonormal_range_basis
 from mdvkit.operators import (
     AffineMap,
     Composition,
@@ -26,7 +29,8 @@ from mdvkit.operators import (
     SetProjector,
     flatten_to_affine,
 )
-from mdvkit.sets import Ball, Box, Halfspace, Singleton
+from mdvkit.sets import AffineSet, Ball, Box, Halfspace, Singleton
+from mdvkit.verify import random_averaged_affine
 
 
 def _reflection(u):
@@ -208,13 +212,14 @@ def test_plateau_does_not_stop_iteration_early():
 
 def test_relaxed_translation_composition_is_exact():
     # merely nonexpansive composition flattening to a translation: the KM
-    # residual is the half offset from the first step, and its cycles hold
-    # only rounding, so no extrapolation is evaluated within the patience window
+    # residual is the half offset from the first step, so the first quiet
+    # step already certifies it against the exact vector
     r1, r2 = _reflection([1.0, 0.0]), _reflection([0.0, 1.0])
     comp = Composition([r1, r2])
     est = displacement_iterative(comp)
     assert est.method == RESIDUAL_ITERATION and est.converged
-    assert est.iterations == disp_mod._STALL_PATIENCE
+    assert est.iterations <= 2
+    assert est.error_bound <= disp_mod.DEFAULT_TOL
     np.testing.assert_allclose(est.vector, [-1.0, 1.0], atol=1e-12)
 
 
@@ -382,6 +387,9 @@ def test_estimate_container_invariants():
         DisplacementEstimate(np.zeros(2), 0.0, -3, RESIDUAL_ITERATION, True)
     with pytest.raises(ValidationError):
         DisplacementEstimate(np.array([math.nan, 0.0]), 0.0, 3, RESIDUAL_ITERATION, True)
+    for bad in (-1e-9, math.nan, math.inf):
+        with pytest.raises(ValidationError):
+            DisplacementEstimate(np.zeros(2), 0.0, 3, RESIDUAL_ITERATION, True, bad)
 
 
 def test_exact_vs_iterative_agree_on_random_contractions():
@@ -393,3 +401,120 @@ def test_exact_vs_iterative_agree_on_random_contractions():
         exact = displacement_exact_affine(op)
         it = displacement_iterative(op, max_iter=20_000, tol=1e-11)
         assert np.linalg.norm(exact.vector - it.vector) <= 1e-6
+
+
+# ---------------------------------------------------------------------------
+# certified early exit
+
+
+def _random_leaf(rng, dim, bounded):
+    # an averaged factor's displacement range is all of R^dim, and so is a
+    # box's or a ball's; draw them rarely so most covers are proper sets
+    kinds = ["halfspace"] * 4 + ["affine_set", "translation"] * 2 + ["averaged"] + ["box", "ball"] * bounded
+    kind = kinds[int(rng.integers(len(kinds)))]
+    center = rng.standard_normal(dim)
+    if kind == "halfspace":
+        return SetProjector(Halfspace(rng.standard_normal(dim), float(rng.standard_normal())))
+    if kind == "affine_set":
+        basis = np.linalg.qr(rng.standard_normal((dim, int(rng.integers(1, dim)))))[0]
+        return SetProjector(AffineSet(AffineSubspace(center, basis)))
+    if kind == "averaged":
+        return random_averaged_affine(rng, dim, norm=float(rng.choice([0.5, 0.95, 1.0])))
+    if kind == "translation":
+        return AffineMap.translation(rng.standard_normal(dim))
+    if kind == "box":
+        return SetProjector(Box(center - 0.5, center + 0.5))
+    return SetProjector(Ball(center, 0.5 + float(rng.random())))
+
+
+def _random_tree(rng, dim, depth, bounded):
+    """A Composition or ConvexCombination of 2-3 parts, each a leaf or a subtree."""
+    parts = [_random_tree(rng, dim, depth - 1, bounded) if depth and rng.random() < 0.4
+             else _random_leaf(rng, dim, bounded) for _ in range(int(rng.integers(2, 4)))]
+    if rng.random() < 0.5:
+        return Composition(parts)
+    weights = rng.random(len(parts)) + 0.1
+    return ConvexCombination(weights / weights.sum(), parts)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), dim=st.integers(2, 6), bounded=st.booleans())
+def test_displacements_lie_in_the_range_calculus_cover(seed, dim, bounded):
+    # telescoping and weighted sums put x - Tx in the cover for every x,
+    # whatever the parts' regularity
+    rng = np.random.default_rng(seed)
+    T = _random_tree(rng, dim, 2, bounded)
+    cover = disp_mod._cover(T)
+    if cover is None:
+        return  # all of R^dim
+    basis = orthonormal_range_basis(cover.span)
+    for x in 10.0 * rng.standard_normal((5, dim)):
+        r = x - T(x) - cover.base
+        r = r - basis @ (basis.T @ r)
+        rays = cover.rays - basis @ (basis.T @ cover.rays)
+        if rays.shape[1]:
+            r = r - rays @ nnls(rays, r)
+        assert np.linalg.norm(r) <= 1e-9 * (1.0 + np.linalg.norm(x))
+
+
+def test_cover_follows_the_leaf_table():
+    a, t = np.array([1.0, 2.0, 0.0]), np.array([0.3, -0.1, 0.2])
+    half = SetProjector(Halfspace(a, 0.7))
+    cover = disp_mod._cover(Composition([AffineMap.translation(t), half]))
+    np.testing.assert_allclose(cover.base, -t)
+    assert cover.span.shape == (3, 0)
+    np.testing.assert_array_equal(cover.rays, a[:, None])
+    # the cover point is the closed form max(0, a.t / |a|^2) a - t
+    want = max(0.0, float(a @ t) / float(a @ a)) * a - t
+    np.testing.assert_allclose(disp_mod._cover_point(Composition([half, AffineMap.translation(t)])),
+                               want, atol=1e-15)
+    # a bounded set anywhere makes the cover all of R^dim
+    box = SetProjector(Box(-np.ones(3), np.ones(3)))
+    assert disp_mod._cover(Composition([half, box])) is None
+    assert disp_mod._cover_point(ConvexCombination([0.5, 0.5], [half, box])) is None
+    # a convex combination weights the parts' bases
+    shift = AffineMap.translation(t)
+    combo = ConvexCombination([0.25, 0.75], [shift, half])
+    np.testing.assert_allclose(disp_mod._cover(combo).base, -0.25 * t)
+
+
+def _bank_pipelines(seed, dim):
+    """Iterative-benchmark-style pipelines with their reference vectors."""
+    rng = np.random.default_rng(seed)
+    for k in range(2, 4):
+        comp = Composition([AffineMap(_orthogonal(rng, dim), 0.2 * rng.standard_normal(dim))
+                            for _ in range(k)])
+        yield "orthogonal", comp, displacement_exact_affine(comp).vector
+        comp = Composition([random_averaged_affine(rng, dim) for _ in range(k)])
+        yield "averaged", comp, displacement_exact_affine(comp).vector
+    for first in (True, False):
+        a, t = rng.standard_normal(dim), 0.5 * rng.standard_normal(dim)
+        parts = [AffineMap.translation(t), SetProjector(Halfspace(a, float(rng.standard_normal())))]
+        want = max(0.0, float(a @ t) / float(a @ a)) * a - t
+        yield "halfspace-translation", Composition(parts if first else parts[::-1]), want
+    for _ in range(2):
+        center = 0.5 * rng.standard_normal(dim)
+        parts = [SetProjector(Box(center - 0.7, center + 0.7)),
+                 SetProjector(Halfspace(rng.standard_normal(dim), float(rng.standard_normal()))),
+                 AffineMap.translation(0.2 * rng.standard_normal(dim))]
+        yield "bounded-mix", Composition([parts[i] for i in rng.permutation(3)]), np.zeros(dim)
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("dim", [5, 50])
+def test_certified_exits_are_within_their_bound(seed, dim):
+    # reference and estimate each carry rounding of order 1e-15, so a bound
+    # that reads exactly the true error may sit a few ulps below the
+    # measured one
+    tol = 1e-7
+    for family, T, want in _bank_pipelines(seed, dim):
+        est = displacement_iterative(T, max_iter=20_000, tol=tol)
+        err = float(np.linalg.norm(est.vector - want))
+        if est.error_bound is not None:
+            assert est.converged
+            assert err <= est.error_bound + 1e-12, family
+            assert est.error_bound <= tol, family
+        if family != "bounded-mix":
+            # the bound of affine pipelines has no rounding floor, and the
+            # halfspace-translation floor sqrt(2 eps) |v| lies below 1e-7
+            assert est.error_bound is not None, family
