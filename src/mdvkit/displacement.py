@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, UnsupportedOperatorError, ValidationError
-from .numeric import AffineSubspace, as_vector, nnls, orthonormal_range_basis
+from .numeric import AffineSubspace, as_vector, orthonormal_range_basis
 from .operators import Cover, Operator, flatten_to_affine
 
 EXACT_AFFINE = "exact_affine"
@@ -47,6 +47,11 @@ _KM_STEP = 0.5
 # its least-squares solve.
 _RRE_MAX_CYCLE = 120
 _RRE_FLOOR = 1e-12
+# Certified exit: rounding of a computed vector of norm s is taken as at most
+# _ROUNDING * dim * eps * s; a cover ray whose part outside the cover's span
+# is below _RAY_IN_SPAN of its length is not trusted to define the cover point.
+_ROUNDING = 8.0
+_RAY_IN_SPAN = 1e-8
 
 
 @dataclass(frozen=True, eq=False)
@@ -57,8 +62,9 @@ class DisplacementEstimate:
     methods.  For the exact method it is the attainment residual: the distance
     of the vector from the cached displacement range, i.e. rounding only.
     ``error_bound`` certifies the distance of ``vector`` from the minimal
-    displacement vector when an iterative run stopped on it (so it is at most
-    ``tol``); it is None otherwise, and reports do not carry it.
+    displacement vector, rounding allowed for, when an iterative run stopped
+    on it (so it is at most ``tol``); it is None otherwise, and reports do
+    not carry it.
     """
 
     vector: np.ndarray
@@ -139,8 +145,9 @@ def displacement_iterative(
     smaller; each proposal counts as one iteration.  On quiet steps
     (successive estimates within ``tol``) the run stops with ``error_bound``
     set once ``|e|``, else ``|e - v|`` (flattenable ``T``), else
-    ``sqrt(|e|^2 - |p|^2)`` (``p`` the cover point) is at most ``tol``; the
-    last has a rounding floor near ``sqrt(2 eps |x| |p|)``.  Failing that,
+    ``sqrt(|e|^2 - |p|^2)`` (``p`` the cover point), each with an allowance
+    for rounding, is at most ``tol``; the last cannot read below about
+    ``sqrt(2 gamma) |p|``, ``gamma = 8 dim eps``.  Failing that,
     iteration stops once successive estimates stay within ``tol`` for 64
     consecutive steps, or after ``max_iter`` iterations.  The run
     requirement guards against transient plateaus: piecewise-affine geometry
@@ -176,8 +183,10 @@ def displacement_iterative(
         def step(v):
             return M @ v + b
 
+    if contractive:  # I - M is invertible, so v = 0 and |e| is the error
+        return _residual_iteration(step, x, max_iter, tol, lambda est, *_: _norm(est))
     bound = _error_bound(T, flat, tol)
-    if contractive or T.is_averaged:
+    if T.is_averaged:
         return _residual_iteration(step, x, max_iter, tol, bound)
 
     def relaxed(v):
@@ -204,45 +213,76 @@ def _check_finite(x: np.ndarray) -> None:
 
 
 def _cover(T: Operator) -> Cover | None:
-    """Superset of ``cl ran(Id - T)`` (None: R^dim), exact when ``T`` flattens."""
-    if flatten_to_affine(T) is not None:
-        rng_space = displacement_range_affine(T)
-        return Cover(rng_space.base, rng_space.basis, np.zeros((T.dim, 0)))
+    """Superset of ``cl ran(Id - T)`` (None: R^dim), exact when ``T`` flattens
+    to ``x -> Mx + b``: ``-b + ran(I - M)``, left unfactored until the whole
+    cover is known to be a proper set."""
+    if (flat := flatten_to_affine(T)) is not None:
+        return Cover(-flat.b, np.eye(T.dim) - flat.M, np.zeros((T.dim, 0)))
     return T._displacement_cover(_cover)
 
 
-def _cover_point(T: Operator) -> np.ndarray | None:
-    """Nearest point to the origin of :func:`_cover` (None: the origin)."""
+def _cover_point(T: Operator):
+    """``(p, |base|)`` for ``p`` the nearest point to the origin of a
+    :func:`_cover` with at most one ray outside its span; None (the origin,
+    never farther out than the minimal displacement vector) otherwise."""
     cover = _cover(T)
     if cover is None:
         return None
-    basis = orthonormal_range_basis(cover.span)
+    # the rounding floor of displacement_range_affine for nonexpansive parts;
+    # zero columns (translations' I - M) are dropped before the SVD
+    span = cover.span[:, cover.span.any(axis=0)]
+    basis = orthonormal_range_basis(span, floor=128.0 * np.finfo(float).eps * T.dim)
     base, rays = (m - basis @ (basis.T @ m) for m in (cover.base, cover.rays))
+    if rays.shape[1] > 1:
+        return None
     if rays.shape[1]:
-        base = base + rays @ nnls(rays, -base)
-    return base
+        a = rays[:, 0]
+        if _norm(a) <= _RAY_IN_SPAN * _norm(cover.rays[:, 0]):
+            return None  # about to be absorbed by the span, or lost to rounding
+        base = base + max(0.0, -(a @ base) / (a @ a)) * a
+    return base, _norm(cover.base)
 
 
 def _error_bound(T: Operator, flat, tol):
-    """``bound(e) >= |e - v|`` for ``e`` in ``cl ran(Id - T)``; ``v`` or ``p``
-    is computed once, when ``|e| > tol`` first."""
-    if flat is not None and flat.norm < 1.0:  # I - M is invertible: v = 0
-        return _norm
-    pending, p = True, None
+    """``bound(est, x, tx, scale) >= |e - v|`` for the estimate ``e = est /
+    scale`` of a residual ``x - tx``, or inf; ``p`` (``= v`` for flattenable
+    ``T``) is computed once, when ``|e|`` first fails.
 
-    def bound(e):
-        nonlocal pending, p
-        err = _norm(e)
-        if err <= tol:
-            return err
-        if pending:
-            pending = False
-            p = (_cover_point(T) if flat is None
-                 else displacement_range_affine(T).project(np.zeros(T.dim)))
+    The exact residual lies in ``cl ran(Id - T)``; ``e`` may be off it by
+    ``de = gamma (|x| + |tx|) / scale`` and ``p`` off by ``dp = gamma (|p| +
+    |base|)``, ``gamma = 8 dim eps``.  Bound 1 is ``|e| + 2 de``, bound 2
+    ``|e - p| + dp``.  In bound 3 ``|p|`` may overshoot ``|v|`` by ``dp``,
+    which puts ``2 (|p| dp + |e| de)`` under the square root; once ``2 |p|
+    dp`` alone exceeds ``tol^2`` the run stops trying.
+    """
+    gamma = _ROUNDING * T.dim * np.finfo(float).eps
+    stage, p, norm_p, dp = "pending", None, 0.0, 0.0
+
+    def bound(est, x, tx, scale):
+        nonlocal stage, p, norm_p, dp
+        if stage == "hopeless":
+            return math.inf
+        e = est / scale
+        err, de = _norm(e), gamma * (_norm(x) + _norm(tx)) / scale
+        if err + 2.0 * de <= tol:
+            return err + 2.0 * de
+        if stage == "pending":
+            stage = "ready"
+            if (point := _cover_point(T)) is not None:
+                p, base_size = point
+                norm_p = _norm(p)
+                dp = gamma * (norm_p + base_size)
+                if flat is None and 2.0 * norm_p * dp > tol * tol:
+                    stage = "hopeless"
+                    return math.inf
         if p is None:
-            return err
-        d = e - p  # p = v for flat T; else |e|^2 - |p|^2, with <d, p> >= 0 up to rounding
-        return _norm(d) if flat is not None else math.sqrt(d @ d + 2.0 * max(0.0, d @ p))
+            return err + 2.0 * de
+        d = e - p
+        if flat is not None:  # p is v
+            return _norm(d) + dp
+        # |e* - v|^2 <= |e*|^2 - |v|^2 <= |e*|^2 - |p|^2, and |e|^2 - |p|^2 = |d|^2 + 2 <d, p>
+        q = d @ d + 2.0 * (d @ p) + 2.0 * (norm_p * dp + err * de) + de * de
+        return math.sqrt(max(0.0, q)) + de
 
     return bound
 
@@ -277,11 +317,8 @@ def _residual_iteration(step, x, max_iter, tol, bound, scale=1.0, cycle=None) ->
         residual = _norm(new_est - est) / scale
         est = new_est
         stall = stall + 1 if residual <= tol else 0
-        if stall:
-            e = est / scale
-            err = bound(e)
-            if err <= tol:
-                return DisplacementEstimate(e, residual, iterations, RESIDUAL_ITERATION, True, err)
+        if stall and (err := bound(est, x, tx, scale)) <= tol:
+            return DisplacementEstimate(est / scale, residual, iterations, RESIDUAL_ITERATION, True, err)
         if stall >= _STALL_PATIENCE:
             converged = True
             break

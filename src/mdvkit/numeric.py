@@ -72,37 +72,6 @@ def orthonormal_range_basis(M, tol: float = DEFAULT_RANK_TOL,
     return u[:, :rank].copy()
 
 
-def nnls(A, y) -> np.ndarray:
-    """``argmin_{x >= 0} |A x - y|`` by the Lawson-Hanson active-set method
-    (*Solving Least Squares Problems*, 1974), at most ``3 n`` outer steps."""
-    A, y = np.asarray(A, dtype=float), np.asarray(y, dtype=float)
-    if A.ndim != 2 or y.shape != (A.shape[0],):
-        raise ValidationError(f"nnls needs an (m, n) matrix and an m-vector, not {A.shape}, {y.shape}")
-    n = A.shape[1]
-    x, passive = np.zeros(n), np.zeros(n, dtype=bool)
-    tol = 10.0 * max(A.shape) * np.finfo(float).eps * max(1.0, float(np.linalg.norm(A)))
-    for _ in range(3 * n):
-        w = A.T @ (y - A @ x)
-        if passive.all() or np.max(w[~passive]) <= tol:
-            break
-        passive[np.argmax(np.where(passive, -np.inf, w))] = True
-        while True:
-            z = np.zeros(n)
-            if passive.any():
-                z[passive] = np.linalg.lstsq(A[:, passive], y, rcond=None)[0]
-            if np.all(z[passive] > 0.0):
-                break
-            # step toward z until a passive entry hits zero; drop it (and any other that did)
-            neg = np.flatnonzero(passive & (z <= 0.0))
-            ratios = x[neg] / np.maximum(x[neg] - z[neg], np.finfo(float).tiny)
-            x = x + ratios.min() * (z - x)
-            passive &= x > tol
-            passive[neg[np.argmin(ratios)]] = False
-            x[~passive] = 0.0
-        x = z
-    return x
-
-
 class AffineSubspace:
     """Affine subspace ``{base + span(basis columns)}`` of R^dim.
 

@@ -103,10 +103,14 @@ class Cover(NamedTuple):
     rays: np.ndarray
 
     @staticmethod
-    def weighted_sum(covers, weights) -> "Cover | None":
-        """``sum_i w_i C_i`` for ``w_i > 0`` (subspaces and cones absorb ``w_i``)."""
-        if any(c is None for c in covers):
-            return None
+    def weighted_sum(parts, weights, cover) -> "Cover | None":
+        """``sum_i w_i cover(part_i)`` for ``w_i > 0`` (subspaces and cones
+        absorb ``w_i``); None from the first part whose cover is None on."""
+        covers = []
+        for part in parts:
+            if (c := cover(part)) is None:
+                return None
+            covers.append(c)
         return Cover(sum(w * c.base for w, c in zip(weights, covers)),
                      np.hstack([c.span for c in covers]), np.hstack([c.rays for c in covers]))
 
@@ -414,7 +418,7 @@ class Composition(Operator):
 
     def _displacement_cover(self, cover):
         # x - T_m..T_1 x telescopes into the parts' displacements along the orbit
-        return Cover.weighted_sum([cover(p) for p in self.parts], np.ones(len(self.parts)))
+        return Cover.weighted_sum(self.parts, np.ones(len(self.parts)), cover)
 
     @cached_property
     def is_averaged(self):
@@ -477,7 +481,7 @@ class ConvexCombination(Operator):
 
     def _displacement_cover(self, cover):
         # x - sum w_i T_i x = sum w_i (x - T_i x)
-        return Cover.weighted_sum([cover(p) for p in self.parts], self.weights)
+        return Cover.weighted_sum(self.parts, self.weights, cover)
 
     is_averaged = Composition.is_averaged  # averaged iff every part is
 

@@ -486,10 +486,7 @@ def load_report(path: str) -> dict:
     payload = _read_json(path, "report")
     if not isinstance(payload, dict) or payload.get("schema_version") != SCHEMA_VERSION:
         raise ValidationError(f"{path}: not a schema_version={SCHEMA_VERSION} report")
-    kind = payload.get("kind")
-    if not isinstance(kind, str) or kind not in _CSV:
-        _fail(path, f"kind must be one of {', '.join(sorted(_CSV))}")
-    rows_key = _CSV[kind][0]
+    rows_key = _layout(payload, path)[0]
     rows = payload.get(rows_key, [])
     if not isinstance(rows, list):
         _fail(path, f"{rows_key} must be an array of objects")
@@ -517,11 +514,17 @@ def _csv_cell(row: dict, column: str):
     return row.get(column)
 
 
+def _layout(payload: dict, path: str) -> tuple:
+    """``(rows key, csv columns)`` of the report's kind; the one kind check."""
+    kind = payload.get("kind")
+    if not isinstance(kind, str) or kind not in _CSV:
+        _fail(path, f"kind must be one of {', '.join(sorted(_CSV))}")
+    return _CSV[kind]
+
+
 def report_to_csv(payload: dict) -> str:
     """Delimited rendering of a report (checks or estimates)."""
-    if payload.get("kind") not in _CSV:
-        raise ValidationError(f"unknown report kind {payload.get('kind')!r}")
-    rows_key, columns = _CSV[payload["kind"]]
+    rows_key, columns = _layout(payload, "report")
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(columns)

@@ -13,7 +13,6 @@ from mdvkit.numeric import (
     as_matrix,
     as_vector,
     minkowski_sum_affine,
-    nnls,
     orthonormal_range_basis,
 )
 
@@ -179,45 +178,3 @@ def test_projection_is_idempotent_and_lands_inside(data):
     np.testing.assert_allclose(s.project(p), p, atol=1e-8)
     # projection never increases distance to any member, take the base point
     assert np.linalg.norm(p - s.base) <= np.linalg.norm(y - s.base) + 1e-8
-
-
-def _nnls_problems(count):
-    """Seeded random NNLS problems, over- and underdetermined, some with a
-    repeated column (a degenerate active set)."""
-    rng = np.random.default_rng(11)
-    for k in range(count):
-        m, n = (int(v) for v in rng.integers(1, 12, size=2))
-        A = rng.standard_normal((m, n))
-        if k % 3 == 0 and n > 1:
-            A[:, 0] = A[:, 1]
-        yield A, 3.0 * rng.standard_normal(m)
-
-
-def test_nnls_meets_the_kkt_conditions():
-    # x >= 0, gradient A^T (A x - y) >= 0, and complementarity x_j g_j = 0
-    for A, y in _nnls_problems(400):
-        x = nnls(A, y)
-        g = A.T @ (A @ x - y)
-        scale = 1e-10 * (1.0 + np.linalg.norm(A) * (np.linalg.norm(y) + np.linalg.norm(A @ x)))
-        assert x.shape == (A.shape[1],) and np.all(x >= 0.0)
-        assert np.all(g >= -scale)
-        assert np.all(np.abs(x * g) <= scale * (1.0 + np.abs(x)))
-
-
-def test_nnls_matches_scipy():
-    scipy_optimize = pytest.importorskip("scipy.optimize")
-    for A, y in _nnls_problems(400):
-        mine = np.linalg.norm(A @ nnls(A, y) - y)
-        theirs = scipy_optimize.nnls(A, y)[1]
-        assert abs(mine - theirs) <= 1e-10 * (1.0 + theirs)
-
-
-def test_nnls_edge_cases():
-    assert nnls(np.zeros((3, 0)), np.ones(3)).shape == (0,)
-    assert np.array_equal(nnls(np.zeros((3, 2)), np.ones(3)), np.zeros(2))
-    # a single ray: the projection coefficient, clipped at zero
-    a = np.array([[1.0], [2.0]])
-    assert nnls(a, np.array([2.0, 4.0]))[0] == pytest.approx(2.0)
-    assert nnls(a, np.array([-2.0, -4.0]))[0] == 0.0
-    with pytest.raises(ValidationError):
-        nnls(np.eye(2), np.ones(3))
