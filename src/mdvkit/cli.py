@@ -59,8 +59,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _emit(payload: dict, fmt: str, out: str | None) -> None:
-    text = scn_mod.dumps_report(payload) if fmt == "json" \
-        else scn_mod.report_to_csv(scn_mod.stringify_numbers(payload))
+    text = (scn_mod.dumps_report if fmt == "json" else scn_mod.report_to_csv)(payload)
     if out is None:
         sys.stdout.write(text)
         return

@@ -48,7 +48,9 @@ def fmt_float(x: float) -> str:
 
 
 def stringify_numbers(obj):
-    """Recursively replace floats by 17-digit decimal strings (ints/bools kept)."""
+    """The one walk from computed values to report JSON: floats become 17-digit
+    decimal strings, ints and bools stay, arrays and tuples become lists, and an
+    ``AffineSubspace`` becomes ``{"base": [...], "rank": k}``."""
     if isinstance(obj, bool):
         return obj
     if isinstance(obj, (int, np.integer)):
@@ -57,6 +59,8 @@ def stringify_numbers(obj):
         return fmt_float(obj)
     if isinstance(obj, np.ndarray):
         return [stringify_numbers(v) for v in obj.tolist()]
+    if isinstance(obj, AffineSubspace):
+        return {"base": stringify_numbers(obj.base), "rank": obj.rank}
     if isinstance(obj, dict):
         return {str(k): stringify_numbers(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -233,15 +237,6 @@ _KIND_OF = {spec.cls: (kind, spec) for table in (_SETS, _OPERATORS)
 _KIND_OF[MonotoneAffine] = (None, _MONOTONE)
 
 
-def set_from_spec(node, dim: int, path: str) -> ConvexSet:
-    """Convex-set grammar: box, ball, halfspace, affine_subspace, singleton."""
-    return _set(node, path, dim)
-
-
-def monotone_from_spec(node, dim: int, path: str) -> MonotoneAffine:
-    return _monotone(node, path, dim)
-
-
 def operator_from_spec(node, dim: int, path: str = "operator") -> Operator:
     """Operator grammar: affine, projector, compose, combo, resolvent, reflected, gradstep."""
     return _operator(node, path, dim)
@@ -298,8 +293,6 @@ _CHECKS = {
         "Q": _matrix, "q": _vector, "set": _set, "alpha": _number,
         "L": _optional(_number)}, iterative=True),
 }
-
-KNOWN_CHECKS = tuple(_CHECKS)
 
 _ESTIMATOR = {"x0": _optional(_vector),
               "max_iter": _optional(_count, DEFAULT_MAX_ITER),
@@ -425,7 +418,7 @@ def estimate_to_dict(label: str, est: DisplacementEstimate) -> dict:
     return {
         "label": label,
         "method": est.method,
-        "vector": est.vector.tolist(),
+        "vector": est.vector,
         "norm": est.norm,
         "residual": est.residual,
         "iterations": est.iterations,
@@ -482,9 +475,11 @@ def write_atomic(path: str, text: str) -> None:
 
 
 def load_report(path: str) -> dict:
-    """A saved report of a known kind whose rows (``checks`` or ``estimates``) are objects."""
+    """A saved report of a known kind whose rows (``checks`` or ``estimates``) are
+    objects, and whose flags, where present, are true or false."""
     payload = _read_json(path, "report")
-    if not isinstance(payload, dict) or payload.get("schema_version") != SCHEMA_VERSION:
+    version = payload.get("schema_version") if isinstance(payload, dict) else None
+    if type(version) is not int or version != SCHEMA_VERSION:  # true and 1.0 both equal 1
         raise ValidationError(f"{path}: not a schema_version={SCHEMA_VERSION} report")
     rows_key = _layout(payload, path)[0]
     rows = payload.get(rows_key, [])
@@ -493,10 +488,16 @@ def load_report(path: str) -> dict:
     for i, row in enumerate(rows):
         if not isinstance(row, dict):
             _fail(f"{path}: {rows_key}[{i}]", "expected an object")
+        for key in row.keys() & _FLAGS:
+            if not isinstance(row[key], bool):
+                _fail(f"{path}: {rows_key}[{i}].{key}", "expected true or false")
     return payload
 
 
-#: Report kind -> (rows key, CSV columns); boolean columns print as true/false.
+#: Boolean row fields; the CSV prints them as true/false.
+_FLAGS = frozenset({"pass", "converged", "hypothesis_met"})
+
+#: Report kind -> (rows key, CSV columns).
 _CSV = {
     "verify": ("checks", ("check_name", "pass", "discrepancy", "tolerance", "seed",
                           "witness_summary")),
@@ -509,7 +510,7 @@ def _csv_cell(row: dict, column: str):
     if column == "witness_summary":
         text = "" if row.get("witness") is None else json.dumps(row["witness"], sort_keys=True)
         return text if len(text) <= 60 else text[:57] + "..."
-    if column in ("pass", "converged"):
+    if column in _FLAGS:
         return str(bool(row.get(column))).lower()
     return row.get(column)
 
@@ -523,11 +524,11 @@ def _layout(payload: dict, path: str) -> tuple:
 
 
 def report_to_csv(payload: dict) -> str:
-    """Delimited rendering of a report (checks or estimates)."""
+    """Delimited rendering of a report (checks or estimates), numbers as in the JSON."""
     rows_key, columns = _layout(payload, "report")
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(columns)
-    for row in payload.get(rows_key, []):
+    for row in stringify_numbers(payload.get(rows_key, [])):
         writer.writerow([_csv_cell(row, column) for column in columns])
     return out.getvalue()

@@ -49,7 +49,13 @@ ITERATIVE_TOL = 1e-4
 
 @dataclass(frozen=True)
 class CheckReport:
-    """Outcome of one check; ``passed`` is pinned to ``discrepancy <= tolerance``."""
+    """Outcome of one check; ``passed`` is pinned to ``discrepancy <= tolerance``.
+
+    ``lhs``, ``rhs`` and ``witness`` hold the values the check computed
+    (``AffineSubspace``, arrays, numbers, or dicts and lists of these), never
+    an array the caller passed in or a view of a larger one;
+    :func:`mdvkit.scenario.stringify_numbers` renders them for reports.
+    """
 
     check_name: str
     passed: bool
@@ -67,20 +73,6 @@ class CheckReport:
             raise ValidationError("report invariant violated: passed != (discrepancy <= tolerance)")
 
 
-def _jsonable(x):
-    if isinstance(x, AffineSubspace):
-        return {"base": x.base.tolist(), "rank": x.rank}
-    if isinstance(x, np.ndarray):
-        return x.tolist()
-    if isinstance(x, (np.floating, np.integer)):
-        return x.item()
-    if isinstance(x, dict):
-        return {k: _jsonable(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_jsonable(v) for v in x]
-    return x
-
-
 def _make(check_name, lhs, rhs, discrepancy, tolerance, witness=None, seed=0,
           hypothesis_met=True, notes="") -> CheckReport:
     discrepancy = float(discrepancy)
@@ -88,11 +80,11 @@ def _make(check_name, lhs, rhs, discrepancy, tolerance, witness=None, seed=0,
     return CheckReport(
         check_name=check_name,
         passed=bool(discrepancy <= tolerance),
-        lhs=_jsonable(lhs),
-        rhs=_jsonable(rhs),
+        lhs=lhs,
+        rhs=rhs,
         discrepancy=discrepancy,
         tolerance=tolerance,
-        witness=_jsonable(witness),
+        witness=witness,
         seed=int(seed),
         hypothesis_met=bool(hypothesis_met),
         notes=notes,
@@ -187,7 +179,7 @@ def check_noncyclic_counterexample(u, tol: float = 1e-10, seed: int = 0) -> Chec
     d = max(float(np.linalg.norm(v_cyclic)), float(np.linalg.norm(v_swapped - 2.0 * u)))
     lhs = {"last_first_second": v_cyclic, "second_first_last": v_swapped}
     rhs = {"last_first_second": np.zeros(u.size), "second_first_last": 2.0 * u}
-    return _make("noncyclic_counterexample", lhs, rhs, d, tol, witness=u, seed=seed)
+    return _make("noncyclic_counterexample", lhs, rhs, d, tol, witness=u.copy(), seed=seed)
 
 
 def check_three_op_closed_form(deltas, a, tol: float = 1e-10, seed: int = 0) -> CheckReport:
@@ -252,7 +244,8 @@ def check_convex_combination(ops, weights, tol: float = EXACT_TOL, seed: int = 0
     d_second = max(0.0, mid - weighted_norms)
     d = max(d_range, d_first, d_second)
     return _make("convex_combination", lhs, rhs, d, tol,
-                 witness={"weights": weights, "mdv_norms": [float(np.linalg.norm(v)) for v in mdvs]},
+                 witness={"weights": weights.copy(),
+                          "mdv_norms": [float(np.linalg.norm(v)) for v in mdvs]},
                  seed=seed, notes=notes)
 
 
@@ -326,7 +319,7 @@ def check_cocoercive_averaged_equivalence(A: MonotoneAffine, mu: float | None = 
         "cocoercive_averaged_equivalence",
         {"min_cocoercivity_slack": worst_coco, "min_averagedness_slack": worst_avg},
         {"max_identity_error": worst_id, "mu": mu},
-        d, tol, witness=D[witness_idx], seed=seed)
+        d, tol, witness=D[witness_idx].copy(), seed=seed)
 
 
 def check_brezis_haraux_affine(A: MonotoneAffine, B: MonotoneAffine,
@@ -380,8 +373,8 @@ def check_translation_formula(A: MonotoneAffine, B: MonotoneAffine, y,
     err = np.linalg.norm(lhs - rhs, axis=1)
     first = int(np.argmax(err))  # the first row attaining the largest error
     worst = float(err[first])
-    witness = X[first] if worst > 0.0 else None
-    return _make("translation_formula", {"samples": samples}, {"shift": y},
+    witness = X[first].copy() if worst > 0.0 else None
+    return _make("translation_formula", {"samples": samples}, {"shift": y.copy()},
                  worst, tol, witness=witness, seed=seed)
 
 

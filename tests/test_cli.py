@@ -115,6 +115,8 @@ def test_report_roundtrip(tmp_path, capsys):
     assert main(["report", out_path, "--format", "json"]) == EXIT_OK
     rendered = capsys.readouterr().out
     assert json.loads(rendered)["name"] == "cli-good"
+    with open(out_path, encoding="utf-8") as fh:
+        assert rendered == fh.read()  # a saved report re-renders byte for byte
 
 
 @pytest.mark.parametrize("command", [["estimate", REFLECTIONS], ["verify", PROJECTOR_MIX]])
@@ -136,6 +138,15 @@ def test_out_into_a_missing_directory_exits_two(command, tmp_path, capsys):
         ("estimate", "estimates", "rows", "estimates must be an array of objects"),
         ("mystery", "checks", [], "kind must be one of estimate, verify"),
         (["verify"], "checks", [], "kind must be one of estimate, verify"),
+        ("estimate", "estimates", [{"label": "x", "converged": "no"}],
+         "estimates[0].converged: expected true or false"),
+        ("verify", "checks", [{"check_name": "x", "pass": "false"}],
+         "checks[0].pass: expected true or false"),
+        ("verify", "checks", [{"check_name": "x", "pass": True, "hypothesis_met": 1}],
+         "checks[0].hypothesis_met: expected true or false"),
+        # a rows key of "schema_version" overrides the valid version 1
+        ("verify", "schema_version", True, "not a schema_version=1 report"),
+        ("verify", "schema_version", 1.0, "not a schema_version=1 report"),
     ],
 )
 @pytest.mark.parametrize("fmt", ["csv", "json"])

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from mdvkit.errors import ValidationError
+from mdvkit.numeric import AffineSubspace
 from mdvkit.operators import (
     AffineMap,
     Composition,
@@ -34,7 +35,7 @@ from mdvkit.scenario import (
     write_atomic,
 )
 from mdvkit.sets import AffineSet, Ball, Box, Halfspace, Singleton
-from mdvkit.verify import CheckReport
+from mdvkit.verify import CheckReport, builtin_suite
 
 REPO_SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -191,13 +192,70 @@ def test_fmt_float_round_trips():
 
 def test_stringify_keeps_bools_and_ints():
     out = stringify_numbers({"flag": True, "n": 3, "x": 0.5,
-                             "arr": np.array([1.5, 2.5]), "nested": [False, 1/3]})
+                             "arr": np.array([1.5, 2.5]), "nested": [False, 1/3],
+                             "sub": AffineSubspace([0.5, -2.0], [[0.0], [1.0]]),
+                             "f64": np.float64(0.1), "i64": np.int64(7), "tup": (1, 2.5),
+                             "mat": np.array([[1.0, 2.0], [3.0, 0.25]]),
+                             "deep": {"a": {"b": [np.float64(1e-9), None]}, 2: "s"}})
     assert out["flag"] is True          # bool must not decay to "1"
     assert out["n"] == 3
     assert out["x"] == "0.5"
     assert out["arr"] == ["1.5", "2.5"]
     assert out["nested"][0] is False
     assert float(out["nested"][1]) == 1/3
+    assert out["sub"] == {"base": ["0.5", "-2"], "rank": 1}  # the basis is not rendered
+    assert type(out["sub"]["rank"]) is int
+    assert out["f64"] == "0.10000000000000001"
+    assert out["i64"] == 7 and type(out["i64"]) is int
+    assert out["tup"] == [1, "2.5"]
+    assert out["mat"] == [["1", "2"], ["3", "0.25"]]
+    assert out["deep"] == {"a": {"b": ["1.0000000000000001e-09", None]}, "2": "s"}
+    json.dumps(out)  # plain JSON throughout
+
+
+def _former_jsonable(x):
+    """Reference copy of the conversion each report once made of its values."""
+    if isinstance(x, AffineSubspace):
+        return {"base": x.base.tolist(), "rank": x.rank}
+    if isinstance(x, np.ndarray):
+        return x.tolist()
+    if isinstance(x, (np.floating, np.integer)):
+        return x.item()
+    if isinstance(x, dict):
+        return {k: _former_jsonable(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_former_jsonable(v) for v in x]
+    return x
+
+
+def _former_stringify(obj):
+    """Reference copy of the float-to-string walk over already plain values."""
+    if isinstance(obj, bool):
+        return obj
+    if isinstance(obj, (int, np.integer)):
+        return int(obj)
+    if isinstance(obj, (float, np.floating)):
+        return format(float(obj), ".17g")
+    if isinstance(obj, np.ndarray):
+        return [_former_stringify(v) for v in obj.tolist()]
+    if isinstance(obj, dict):
+        return {str(k): _former_stringify(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_former_stringify(v) for v in obj]
+    return obj
+
+
+def test_one_walk_renders_the_bytes_of_the_former_two():
+    reports = builtin_suite(seed=7, randomized_count=6, cyclic_count=2,
+                            closed_form_triples=1, cocoercive_count=3)
+    payload = verify_payload("small", 7, reports)
+    former = verify_payload("small", 7, reports)
+    for row in former["checks"]:
+        for key in ("lhs", "rhs", "witness"):
+            row[key] = _former_jsonable(row[key])
+    expected = json.dumps(_former_stringify(former), indent=2, sort_keys=True) + "\n"
+    assert any(isinstance(r.lhs, AffineSubspace) for r in reports)
+    assert dumps_report(payload) == expected
 
 
 def test_dumps_report_is_canonical():

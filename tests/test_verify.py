@@ -153,7 +153,7 @@ def test_convex_combination_translations():
     ops = [AffineMap.translation([0.3, 0.0]), AffineMap.translation([0.0, 0.3])]
     rep = check_convex_combination(ops, [1.0 / 3.0, 2.0 / 3.0])
     assert rep.passed and rep.notes == ""
-    assert rep.lhs["rank"] == 0 and rep.rhs["rank"] == 0
+    assert rep.lhs.rank == 0 and rep.rhs.rank == 0
 
 
 def test_convex_combination_non_affine_skips_range():
@@ -199,7 +199,7 @@ def test_brezis_haraux_rank_deficient_pair():
     rep = check_brezis_haraux_affine(A, B)
     assert rep.hypothesis_met  # symmetric PSD parts are rectangular enough
     assert rep.passed
-    assert rep.lhs["rank"] == 2
+    assert rep.lhs.rank == 2
 
 
 def test_translation_formula_pointwise():
@@ -230,7 +230,18 @@ def test_translation_formula_witness_is_the_first_row_with_the_largest_error(mon
     monkeypatch.setattr(np.random, "default_rng", lambda seed: _FixedDraws(rows))
     rep = check_translation_formula(A, B, [0.45, 0.45], samples=4)
     assert rep.passed and rep.discrepancy > 0.0
-    assert rep.witness == [2.0, -2.5]
+    assert rep.witness.tolist() == [2.0, -2.5]
+
+
+def test_reports_hold_no_array_the_caller_passed():
+    u, y, w = np.array([1.0, 0.0]), np.array([0.3, -0.2]), np.array([0.25, 0.75])
+    A = MonotoneAffine(np.eye(2), [0.0, 0.0])
+    reps = [check_noncyclic_counterexample(u), check_translation_formula(A, A, y, samples=5),
+            check_convex_combination([AffineMap.translation([0.3, 0.0])] * 2, w)]
+    u[:] = y[:] = w[:] = 9.0  # the caller reuses its buffers
+    assert reps[0].witness.tolist() == [1.0, 0.0]
+    assert reps[1].rhs["shift"].tolist() == [0.3, -0.2]
+    assert reps[2].witness["weights"].tolist() == [0.25, 0.75]
 
 
 def test_translation_formula_without_error_has_no_witness():
@@ -245,7 +256,7 @@ def test_range_identity_reflected_singular():
     A = MonotoneAffine([[1.0, 0.0], [0.0, 0.0]], [0.5, -0.25])
     rep = check_range_identity_reflected(A)
     assert rep.passed
-    assert rep.lhs["rank"] == 1
+    assert rep.lhs.rank == 1
 
 
 def test_projected_gradient_whole_space_matches_scaled_gradient():
