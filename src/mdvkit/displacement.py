@@ -7,9 +7,11 @@ the range is an affine subspace and everything is exact; otherwise the
 residual ``x_n - T x_n`` of a fixed-point iteration estimates the vector.
 Averaged maps iterate ``T`` itself.  Merely nonexpansive ones iterate the
 Krasnosel'skii-Mann relaxation ``(Id + T) / 2``, which is averaged and whose
-minimal displacement vector is half that of ``T`` (Baillon-Bruck-Reich 1978);
-when it is affine, restarted reduced-rank extrapolation (RRE; Sidi, *Vector
-Extrapolation Methods*, 2017) proposes restart points along the way.
+minimal displacement vector is half that of ``T`` (Baillon-Bruck-Reich 1978).
+An affine ``T`` whose ``I - M`` is invertible (so its vector is 0) first gets
+its fixed point from one LU solve as a proposal; otherwise, when the
+relaxation is affine, restarted reduced-rank extrapolation (RRE; Sidi,
+*Vector Extrapolation Methods*, 2017) proposes restart points along the way.
 The iteration stops once a residual is certified within ``tol`` of the vector
 by the range calculus of compositions and convex combinations.
 """
@@ -139,10 +141,15 @@ def displacement_iterative(
     Averaged operators and affine strict contractions iterate ``T``: the
     residual ``x_n - T x_n`` converges to the minimal displacement vector.
     Other operators iterate the averaged ``T_half = (Id + T) / 2``, whose
-    vector is half of ``T``'s, and report its residual doubled.  When
-    ``T_half`` is affine, restarted RRE proposes a restart point every
-    ``min(2 (dim + 3), 120)`` steps, kept only if its evaluated residual is
-    smaller; each proposal counts as one iteration.  On quiet steps
+    vector is half of ``T``'s, and report its residual doubled.  When ``T``
+    flattens to a non-contractive ``x -> Mx + b``, the fixed point of
+    ``T_half`` (``solve(I - M, b)``, one LU factorization) is proposed first
+    unless ``I - M`` is singular: its evaluated residual is offered to the
+    bounds below when ``|e| <= tol`` and the run returns it if certified,
+    else drops it.  When ``T_half`` is affine, restarted RRE also proposes a
+    restart point every ``min(2 (dim + 3), 120)`` steps, kept only if its
+    evaluated residual is smaller.  Each evaluated proposal counts as one
+    iteration.  On quiet steps
     (successive estimates within ``tol``) the run stops with ``error_bound``
     set once ``|e|``, else ``|e - v|`` (flattenable ``T``), else
     ``sqrt(|e|^2 - |p|^2)`` (``p`` the cover point), each with an allowance
@@ -186,14 +193,32 @@ def displacement_iterative(
     if contractive:  # I - M is invertible, so v = 0 and |e| is the error
         return _residual_iteration(step, x, max_iter, tol, lambda est, *_: _norm(est))
     bound = _error_bound(T, flat, tol)
+    spent = 0  # iterations spent on the fixed-point proposal
+    if flat is None:
+        def relaxed(v):
+            return v + _KM_STEP * (step(v) - v)
+    else:
+        M_h = (1.0 - _KM_STEP) * np.eye(T.dim) + _KM_STEP * M
+        b_h = _KM_STEP * b
+
+        def relaxed(v):
+            return M_h @ v + b_h
+
+        if (x_hat := _fixed_point(M_h, b_h)) is not None:
+            spent = 1
+            tx_hat = relaxed(x_hat)
+            r_hat = x_hat - tx_hat
+            # |e| <= tol first, so that a rejected proposal never pays for
+            # the cover point's SVD
+            if (_norm(r_hat) <= _KM_STEP * tol
+                    and (err := bound(r_hat, x_hat, tx_hat, _KM_STEP)) <= tol):
+                residual = _norm(r_hat - (x - relaxed(x))) / _KM_STEP
+                return DisplacementEstimate(r_hat / _KM_STEP, residual, spent,
+                                            RESIDUAL_ITERATION, True, err)
     if T.is_averaged:
-        return _residual_iteration(step, x, max_iter, tol, bound)
-
-    def relaxed(v):
-        return v + _KM_STEP * (step(v) - v)
-
+        return _residual_iteration(step, x, max_iter, tol, bound, spent=spent)
     cycle = None if flat is None else min(2 * (T.dim + 3), _RRE_MAX_CYCLE)
-    return _residual_iteration(relaxed, x, max_iter, tol, bound, _KM_STEP, cycle)
+    return _residual_iteration(relaxed, x, max_iter, tol, bound, _KM_STEP, cycle, spent)
 
 
 def _is_integer(n) -> bool:
@@ -287,15 +312,27 @@ def _error_bound(T: Operator, flat, tol):
     return bound
 
 
-def _residual_iteration(step, x, max_iter, tol, bound, scale=1.0, cycle=None) -> DisplacementEstimate:
+def _fixed_point(M, b):
+    """``solve(I - M, b)``, one LU factorization; None when ``I - M`` is
+    singular or the solution is not finite."""
+    try:
+        x = np.linalg.solve(np.eye(M.shape[0]) - M, b)
+    except np.linalg.LinAlgError:
+        return None
+    return x if np.all(np.isfinite(x)) else None
+
+
+def _residual_iteration(step, x, max_iter, tol, bound, scale=1.0, cycle=None,
+                        spent=0) -> DisplacementEstimate:
     """Iterate ``step`` and estimate by its residual divided by ``scale``,
     certified by ``bound`` on quiet steps; with ``cycle`` (affine ``step``
-    only), propose a restart point every ``cycle`` steps."""
+    only), propose a restart point every ``cycle`` steps.  ``spent``
+    iterations of ``max_iter`` are already used."""
     tx = step(x)
     est = x - tx
     residual = math.inf
     converged = False
-    iterations = 0
+    iterations = spent
     stall = 0
     xs, rs = [x], [est]
     while iterations < max_iter:

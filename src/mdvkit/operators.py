@@ -12,7 +12,7 @@ inequalities in the test suite rather than assumed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -238,8 +238,11 @@ class AffineMap(Operator):
 
     @cached_property
     def is_averaged(self):
-        # minimal_averagedness(M) is not None, without its bisection
-        return _averaged_at(self.M, ALPHA_CEILING) or _averaged_at(self.M, ALPHA_FLOOR)
+        # minimal_averagedness(M) is not None, without its bisection: for
+        # alpha < beta, N_beta = (1 - alpha/beta) Id + (alpha/beta) N_alpha has
+        # norm at most 1 + (alpha/beta) tol, so averaged at ALPHA_FLOOR implies
+        # averaged at ALPHA_CEILING and one SVD decides
+        return _averaged_at(self.M, ALPHA_CEILING)
 
     def _regularity(self):
         alpha = minimal_averagedness(self.M)
@@ -553,6 +556,15 @@ def cocoercivity_modulus(A: MonotoneAffine, tol: float = NORM_TOL) -> tuple[floa
 _FLAT_UNSET = object()
 
 
+@lru_cache(maxsize=16)
+def _probe_stack(dim: int) -> np.ndarray:
+    """The read-only ``(dim + 11, dim)`` cross-check probes of :func:`flatten_to_affine`."""
+    probes = np.vstack((np.zeros(dim), np.eye(dim),
+                        np.random.default_rng(0).standard_normal((10, dim))))
+    probes.setflags(write=False)
+    return probes
+
+
 def flatten_to_affine(T: Operator) -> AffineMap | None:
     """Collapse an operator tree to one affine map when every leaf is affine.
 
@@ -576,8 +588,7 @@ def flatten_to_affine(T: Operator) -> AffineMap | None:
     else:
         M, b = pair
         flat = AffineMap(M, b)
-        probes = np.vstack((np.zeros(T.dim), np.eye(T.dim),
-                            np.random.default_rng(0).standard_normal((10, T.dim))))
+        probes = _probe_stack(T.dim)
         direct = T._apply(probes)
         err = np.linalg.norm(direct - (probes @ M.T + b), axis=1)
         bad = np.flatnonzero(err > 1e-9 * (1.0 + np.linalg.norm(direct, axis=1)))

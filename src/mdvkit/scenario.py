@@ -467,6 +467,9 @@ def write_atomic(path: str, text: str) -> None:
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)  # mkstemp's 0600 would survive the rename
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -494,7 +497,7 @@ def load_report(path: str) -> dict:
     return payload
 
 
-#: Boolean row fields; the CSV prints them as true/false.
+#: Boolean row fields; the CSV prints them as true/false (empty when absent).
 _FLAGS = frozenset({"pass", "converged", "hypothesis_met"})
 
 #: Report kind -> (rows key, CSV columns).
@@ -510,8 +513,8 @@ def _csv_cell(row: dict, column: str):
     if column == "witness_summary":
         text = "" if row.get("witness") is None else json.dumps(row["witness"], sort_keys=True)
         return text if len(text) <= 60 else text[:57] + "..."
-    if column in _FLAGS:
-        return str(bool(row.get(column))).lower()
+    if column in _FLAGS and column in row:
+        return str(bool(row[column])).lower()
     return row.get(column)
 
 

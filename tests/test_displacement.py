@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mdvkit import displacement as disp_mod
+from mdvkit import operators as operators_mod
 from mdvkit.displacement import (
     EXACT_AFFINE,
     RESIDUAL_ITERATION,
@@ -128,6 +129,13 @@ def test_flatten_probe_check_fires_and_reports_the_first_failing_probe():
         flatten_to_affine(op)
     with pytest.raises(NumericalError, match="disagrees"):
         displacement_range_affine(op)
+
+
+def test_flatten_probe_stack_is_built_once_per_dimension_and_read_only():
+    probes = operators_mod._probe_stack(4)
+    assert probes is operators_mod._probe_stack(4) and not probes.flags.writeable
+    assert probes.shape == (15, 4)
+    np.testing.assert_array_equal(probes[:5], np.vstack((np.zeros(4), np.eye(4))))
 
 
 def test_range_is_computed_once_per_operator(monkeypatch):
@@ -281,6 +289,10 @@ def test_relaxed_orthogonal_compositions_match_exact(seed):
         assert est.method == RESIDUAL_ITERATION and est.converged
         exact = displacement_exact_affine(comp)
         assert np.linalg.norm(est.vector - exact.vector) <= 1e-8
+        if est.error_bound is not None:
+            assert np.linalg.norm(est.vector - exact.vector) <= est.error_bound
+        if displacement_range_affine(comp).rank == dim:  # I - M invertible
+            assert est.iterations <= 2  # the fixed-point proposal
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -295,15 +307,49 @@ def test_relaxed_dim_50_turn_with_a_near_identity_block_converges(seed):
     basis = _orthogonal(rng, 50)
     T = AffineMap(basis @ block @ basis.T, 0.2 * rng.standard_normal(50))
     est = displacement_iterative(T, max_iter=20_000, tol=1e-7)
-    assert est.converged and est.norm <= 1e-4
+    assert est.converged and est.error_bound <= 1e-7 and est.norm <= est.error_bound
+
+
+def test_near_singular_fixed_point_proposal_is_refused_or_certified_truthfully():
+    # one block turns by 1e-12: I - M is invertible, but its smallest singular
+    # value, about 1e-12, is below the exact route's relative rank cutoff, and
+    # the LU fixed point lies about 1e12 out
+    rng = np.random.default_rng(11)
+    block = np.eye(6)
+    for i, theta in enumerate((1e-12, 0.7, 2.1)):
+        block[2 * i:2 * i + 2, 2 * i:2 * i + 2] = [[np.cos(theta), -np.sin(theta)],
+                                                   [np.sin(theta), np.cos(theta)]]
+    basis = _orthogonal(rng, 6)
+    T = AffineMap(basis @ block @ basis.T, 0.2 * rng.standard_normal(6))
+    smallest = np.linalg.svd(np.eye(6) - T.M, compute_uv=False)[-1]
+    assert 1e-13 < smallest < 1e-11
+    exact = displacement_exact_affine(T).vector
+    for max_iter in (1, 2, 20_000):
+        est = displacement_iterative(T, max_iter=max_iter, tol=1e-7)
+        assert est.iterations <= max_iter
+        if est.error_bound is not None:
+            assert np.linalg.norm(est.vector - exact) <= est.error_bound <= 1e-7
 
 
 def test_extrapolation_counts_against_the_budget():
-    # dim 3: a cycle is 12 KM steps, and its proposal is the 13th iteration
+    # I - M invertible: the fixed-point proposal is the first iteration
     rng = np.random.default_rng(7)
     comp = Composition([AffineMap(_orthogonal(rng, 3), 0.2 * rng.standard_normal(3))
                         for _ in range(2)])
     exact = displacement_exact_affine(comp).vector
+    est = displacement_iterative(comp, max_iter=1, tol=1e-7)
+    assert est.iterations == 1 and est.converged and est.error_bound <= 1e-7
+    assert np.linalg.norm(est.vector - exact) <= min(1e-8, est.error_bound)
+    # a turn about e3 after a shift along it: I - M has an exact zero row, so
+    # there is no fixed-point proposal, and v = (0, 0, -0.3); in dim 3 a cycle
+    # is 12 KM steps, and its RRE proposal is the 13th iteration
+    theta = 1.0
+    turn = np.array([[np.cos(theta), -np.sin(theta), 0.0],
+                     [np.sin(theta), np.cos(theta), 0.0],
+                     [0.0, 0.0, 1.0]])
+    comp = Composition([AffineMap(turn, np.zeros(3)), AffineMap.translation([0.1, 0.2, 0.3])])
+    exact = displacement_exact_affine(comp).vector
+    np.testing.assert_allclose(exact, [0.0, 0.0, -0.3], atol=1e-15)
     short = displacement_iterative(comp, max_iter=12, tol=1e-7)
     assert short.iterations == 12 and np.linalg.norm(short.vector - exact) > 1e-3
     proposed = displacement_iterative(comp, max_iter=13, tol=1e-7)

@@ -464,12 +464,28 @@ def test_one_vector_keeps_its_matvec_arithmetic():
 # the cheap averaged kind
 
 
+def identity_map(rng, dim):
+    return AffineMap.identity(dim)
+
+
+def orthogonal_projector_map(rng, dim):
+    q = np.linalg.qr(rng.standard_normal((dim, max(1, dim // 2))))[0]
+    return AffineMap(q @ q.T, np.zeros(dim))
+
+
+def minus_identity_map(rng, dim):
+    return AffineMap(-np.eye(dim), np.zeros(dim))
+
+
 @pytest.mark.parametrize("generator", [
     partial(random_averaged_affine, norm=0.5),
     partial(random_averaged_affine, norm=0.95),
     partial(random_averaged_affine, norm=1.0),
     random_merely_nonexpansive_affine,
     random_structured_averaged,
+    identity_map,
+    orthogonal_projector_map,
+    minus_identity_map,
 ])
 def test_affine_kind_agrees_with_minimal_averagedness(generator):
     rng = np.random.default_rng(31)

@@ -2,6 +2,7 @@
 
 import json
 import os
+import stat
 from pathlib import Path
 
 import numpy as np
@@ -279,6 +280,17 @@ def test_write_atomic_and_load_report(tmp_path):
     assert leftovers == []
 
 
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+def test_write_atomic_honours_the_umask(tmp_path, umask, mode):
+    target = tmp_path / "report.json"
+    previous = os.umask(umask)
+    try:
+        write_atomic(str(target), "{}\n")
+    finally:
+        os.umask(previous)
+    assert stat.S_IMODE(os.stat(target).st_mode) == mode
+
+
 def test_load_report_rejects_wrong_schema(tmp_path):
     p = tmp_path / "r.json"
     p.write_text('{"schema_version": 99}')
@@ -297,6 +309,11 @@ def test_report_to_csv_verify_and_estimate():
         "label": "op[0]", "method": "exact_affine", "vector": [0.0],
         "norm": 0.0, "residual": 0.0, "iterations": 0, "converged": True}])))
     assert est_csv.splitlines()[0] == "label,method,converged,iterations,residual,norm"
+    # a flag the row does not state renders empty, like every other missing column
+    bare = report_to_csv({"schema_version": 1, "kind": "estimate", "estimates": [{"label": "x"}]})
+    assert bare.splitlines()[1] == "x,,,,,"
+    bare = report_to_csv({"schema_version": 1, "kind": "verify", "checks": [{"check_name": "c"}]})
+    assert bare.splitlines()[1] == "c,,,,,"
     with pytest.raises(ValidationError):
         report_to_csv({"kind": "mystery"})
 
