@@ -54,6 +54,10 @@ _RRE_FLOOR = 1e-12
 # is below _RAY_IN_SPAN of its length is not trusted to define the cover point.
 _ROUNDING = 8.0
 _RAY_IN_SPAN = 1e-8
+# Entries of I - M are O(1) for nonexpansive M (|M| <= 1), so singular values
+# below _RANGE_FLOOR * dim are accumulated rounding (e.g. weights summing to
+# 1 +- ulp), not genuine directions of a displacement range.
+_RANGE_FLOOR = 128.0 * np.finfo(float).eps
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,7 +87,7 @@ class DisplacementEstimate:
             raise ValidationError("residual must be nonnegative")
         if not _is_integer(self.iterations) or self.iterations < 0:
             raise ValidationError("iterations must be a nonnegative integer")
-        if not np.all(np.isfinite(self.vector)):
+        if not np.isfinite(self.vector).all():
             raise ValidationError("estimate vector entries must be finite")
         if self.error_bound is not None and not 0.0 <= self.error_bound < math.inf:
             raise ValidationError("error_bound must be nonnegative and finite")
@@ -111,12 +115,8 @@ def displacement_range_affine(T: Operator) -> AffineSubspace:
         raise UnsupportedOperatorError(
             "operator does not flatten to an affine map; use displacement_iterative"
         )
-    # Entries of I - M are O(1) for nonexpansive M, so singular values at the
-    # 1e-13 level are accumulated rounding (e.g. weights summing to 1 +- ulp),
-    # not genuine directions of the displacement range.
-    floor = 64.0 * np.finfo(float).eps * T.dim * (1.0 + flat.norm)
-    span = orthonormal_range_basis(np.eye(T.dim) - flat.M, floor=floor)
-    rng_space = AffineSubspace(-flat.b, span)
+    span = orthonormal_range_basis(np.eye(T.dim) - flat.M, floor=_RANGE_FLOOR * T.dim)
+    rng_space = AffineSubspace._computed(-flat.b, span)
     T._range_cache = rng_space
     return rng_space
 
@@ -126,8 +126,8 @@ def displacement_exact_affine(T: Operator) -> DisplacementEstimate:
     the projection of the origin onto the (closed, so attained) cached range.
     """
     rng_space = displacement_range_affine(T)
-    vector = rng_space.project(np.zeros(T.dim))
-    return DisplacementEstimate(vector, rng_space.distance(vector), 0, EXACT_AFFINE, True)
+    vector = rng_space._project(np.zeros(T.dim))
+    return DisplacementEstimate(vector, rng_space._distance(vector), 0, EXACT_AFFINE, True)
 
 
 def displacement_iterative(
@@ -233,7 +233,7 @@ def _check_budget(max_iter, tol) -> None:
 
 
 def _check_finite(x: np.ndarray) -> None:
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise NumericalError("iteration produced non-finite values")
 
 
@@ -253,10 +253,9 @@ def _cover_point(T: Operator):
     cover = _cover(T)
     if cover is None:
         return None
-    # the rounding floor of displacement_range_affine for nonexpansive parts;
     # zero columns (translations' I - M) are dropped before the SVD
     span = cover.span[:, cover.span.any(axis=0)]
-    basis = orthonormal_range_basis(span, floor=128.0 * np.finfo(float).eps * T.dim)
+    basis = orthonormal_range_basis(span, floor=_RANGE_FLOOR * T.dim)
     base, rays = (m - basis @ (basis.T @ m) for m in (cover.base, cover.rays))
     if rays.shape[1] > 1:
         return None
@@ -319,7 +318,7 @@ def _fixed_point(M, b):
         x = np.linalg.solve(np.eye(M.shape[0]) - M, b)
     except np.linalg.LinAlgError:
         return None
-    return x if np.all(np.isfinite(x)) else None
+    return x if np.isfinite(x).all() else None
 
 
 def _residual_iteration(step, x, max_iter, tol, bound, scale=1.0, cycle=None,
@@ -348,7 +347,7 @@ def _residual_iteration(step, x, max_iter, tol, bound, scale=1.0, cycle=None,
                     iterations += 1
                     tx_hat = step(x_hat)
                     r_hat = x_hat - tx_hat
-                    if np.all(np.isfinite(r_hat)) and _norm(r_hat) < _norm(new_est):
+                    if np.isfinite(r_hat).all() and _norm(r_hat) < _norm(new_est):
                         x, tx, new_est = x_hat, tx_hat, r_hat
                 xs, rs = [x], [new_est]
         residual = _norm(new_est - est) / scale

@@ -25,7 +25,7 @@ def as_vector(x, dim: int | None = None) -> np.ndarray:
         raise ValidationError(f"expected a vector, got array of shape {v.shape}")
     if v.size == 0:
         raise ValidationError("vectors must have positive dimension")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ValidationError("vector entries must be finite")
     if dim is not None and v.size != dim:
         raise ValidationError(f"dimension mismatch: expected {dim}, got {v.size}")
@@ -37,7 +37,7 @@ def as_matrix(m, square: bool = False) -> np.ndarray:
     a = np.asarray(m, dtype=float)
     if a.ndim != 2 or a.shape[0] == 0 or a.shape[1] == 0:
         raise ValidationError(f"expected a matrix, got array of shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ValidationError("matrix entries must be finite")
     if square and a.shape[0] != a.shape[1]:
         raise ValidationError(f"expected a square matrix, got shape {a.shape}")
@@ -58,7 +58,7 @@ def orthonormal_range_basis(M, tol: float = DEFAULT_RANK_TOL,
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] == 0:
         raise ValidationError(f"expected a matrix, got array of shape {M.shape}")
-    if not np.all(np.isfinite(M)):
+    if not np.isfinite(M).all():
         raise ValidationError("matrix entries must be finite")
     if not (tol >= 0 and floor >= 0):
         raise ValidationError("rank tolerances must be nonnegative")
@@ -92,7 +92,7 @@ class AffineSubspace:
             raise ValidationError(
                 f"basis rows ({basis.shape[0]}) must match base dimension ({base.size})"
             )
-        if basis.size and not np.all(np.isfinite(basis)):
+        if basis.size and not np.isfinite(basis).all():
             raise ValidationError("basis entries must be finite")
         if basis.shape[1]:
             gram = basis.T @ basis
@@ -104,6 +104,18 @@ class AffineSubspace:
         basis.setflags(write=False)
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "basis", basis)
+
+    @classmethod
+    def _computed(cls, base: np.ndarray, basis: np.ndarray) -> "AffineSubspace":
+        """Wrap a finite ``base`` and an orthonormal ``basis`` that mdvkit has
+        computed and nothing writes to, without the constructor's copies and
+        checks."""
+        base.setflags(write=False)
+        basis.setflags(write=False)
+        self = object.__new__(cls)
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "basis", basis)
+        return self
 
     def __setattr__(self, name, value):  # pragma: no cover - defensive
         raise AttributeError("AffineSubspace is immutable")
@@ -118,14 +130,18 @@ class AffineSubspace:
 
     def project(self, y) -> np.ndarray:
         """Orthogonal projection of ``y`` onto the subspace."""
-        y = as_vector(y, self.dim)
+        return self._project(as_vector(y, self.dim))
+
+    def _project(self, y: np.ndarray) -> np.ndarray:
         if self.rank == 0:
             return self.base.copy()
         return self.base + self.basis @ (self.basis.T @ (y - self.base))
 
     def distance(self, y) -> float:
-        y = as_vector(y, self.dim)
-        return float(np.linalg.norm(y - self.project(y)))
+        return self._distance(as_vector(y, self.dim))
+
+    def _distance(self, y: np.ndarray) -> float:
+        return float(np.linalg.norm(y - self._project(y)))
 
     def contains(self, y, tol: float = 1e-8) -> bool:
         return self.distance(y) <= tol
@@ -136,8 +152,9 @@ class AffineSubspace:
         if not np.isfinite(factor):
             raise ValidationError("scale factor must be finite")
         if factor == 0.0:
-            return AffineSubspace(np.zeros(self.dim))
-        return AffineSubspace(factor * self.base, self.basis)
+            return AffineSubspace._computed(np.zeros(self.dim), np.zeros((self.dim, 0)))
+        # as_vector refuses a base that overflowed
+        return AffineSubspace._computed(as_vector(factor * self.base), self.basis)
 
     def __repr__(self) -> str:
         return f"AffineSubspace(dim={self.dim}, rank={self.rank})"
@@ -148,14 +165,14 @@ def minkowski_sum_affine(s1: AffineSubspace, s2: AffineSubspace) -> AffineSubspa
     if s1.dim != s2.dim:
         raise ValidationError(f"ambient dimension mismatch: {s1.dim} vs {s2.dim}")
     stacked = np.hstack((s1.basis, s2.basis))
-    return AffineSubspace(s1.base + s2.base, orthonormal_range_basis(stacked))
+    return AffineSubspace._computed(as_vector(s1.base + s2.base), orthonormal_range_basis(stacked))
 
 
 def affine_discrepancy(s1: AffineSubspace, s2: AffineSubspace) -> float:
     """Quantitative failure of ``s1 == s2``: base offset plus mutual span residuals."""
     if s1.dim != s2.dim:
         raise ValidationError(f"ambient dimension mismatch: {s1.dim} vs {s2.dim}")
-    worst = s1.distance(s2.base)
+    worst = s1._distance(s2.base)
     for a, b in ((s1, s2), (s2, s1)):
         if b.rank:
             resid = b.basis - a.basis @ (a.basis.T @ b.basis) if a.rank else b.basis

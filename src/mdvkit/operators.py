@@ -37,7 +37,12 @@ MU_CAP = 1e12
 
 def spectral_norm(M) -> float:
     """Largest singular value of ``M`` (the same LAPACK call as ``norm(M, 2)``)."""
-    return float(np.linalg.svd(as_matrix(M), compute_uv=False)[0])
+    return _spectral_norm(as_matrix(M))
+
+
+def _spectral_norm(M: np.ndarray) -> float:
+    """:func:`spectral_norm` of a matrix already known to be finite and 2-d."""
+    return float(np.linalg.svd(M, compute_uv=False)[0])
 
 
 def _matvec(M: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -48,7 +53,7 @@ def _matvec(M: np.ndarray, x: np.ndarray) -> np.ndarray:
 def _averaged_at(M: np.ndarray, alpha: float, tol: float = NORM_TOL) -> bool:
     """Whether ``M = (1-alpha) Id + alpha N`` with ``N`` nonexpansive within ``tol``."""
     N = (M - (1.0 - alpha) * np.eye(M.shape[0])) / alpha
-    return float(np.linalg.svd(N, compute_uv=False)[0]) <= 1.0 + tol
+    return _spectral_norm(N) <= 1.0 + tol
 
 
 class MonotoneAffine:
@@ -202,23 +207,41 @@ class Operator:
 class AffineMap(Operator):
     """Affine map ``x -> Mx + b`` with spectral norm of M at most one.
 
-    ``norm`` keeps the spectral norm of ``M`` computed for validation.
+    ``norm`` is the spectral norm of ``M``: the constructor keeps the one it
+    computed for validation, and a map built by :func:`flatten_to_affine`
+    computes it on first read.
     """
 
     def __init__(self, M, b):
         M = as_matrix(M, square=True)
         b = as_vector(b, M.shape[0])
-        norm = spectral_norm(M)
+        norm = _spectral_norm(M)
         if norm > 1.0 + NORM_TOL:
             raise ValidationError("affine map is not nonexpansive: spectral norm exceeds one")
+        self._set(M, b)
+        self.norm = norm
+
+    @classmethod
+    def _collapsed(cls, M: np.ndarray, b: np.ndarray) -> "AffineMap":
+        """The finite ``(M, b)`` of a tree of validated parts, without the
+        validation SVD: a composition or convex combination of nonexpansive
+        maps is nonexpansive, up to rounding."""
+        self = cls.__new__(cls)
+        self._set(M, b)
+        return self
+
+    def _set(self, M: np.ndarray, b: np.ndarray) -> None:
         M = M.copy()
         b = b.copy()
         M.setflags(write=False)
         b.setflags(write=False)
         self.M = M
         self.b = b
-        self.norm = norm
         self.dim = M.shape[0]
+
+    @cached_property
+    def norm(self) -> float:
+        return _spectral_norm(self.M)
 
     @classmethod
     def identity(cls, dim: int) -> "AffineMap":
@@ -414,8 +437,8 @@ class Composition(Operator):
         pairs = [p._affine_pair() for p in self.parts]
         if any(pair is None for pair in pairs):
             return None
-        M, b = np.eye(self.dim), np.zeros(self.dim)
-        for Mp, bp in pairs:
+        M, b = pairs[0]
+        for Mp, bp in pairs[1:]:
             M, b = Mp @ M, Mp @ b + bp
         return M, b
 
@@ -512,7 +535,7 @@ def minimal_averagedness(M, tol: float = NORM_TOL) -> float | None:
     M = as_matrix(M, square=True)
     if tol < 0:
         raise ValidationError("tolerance must be nonnegative")
-    if spectral_norm(M) > 1.0 + tol:
+    if _spectral_norm(M) > 1.0 + tol:
         raise ValidationError("matrix has spectral norm above one: not nonexpansive")
     if _averaged_at(M, ALPHA_FLOOR, tol):
         return ALPHA_FLOOR
@@ -540,7 +563,7 @@ def cocoercivity_modulus(A: MonotoneAffine, tol: float = NORM_TOL) -> tuple[floa
     if not isinstance(A, MonotoneAffine):
         raise ValidationError("cocoercivity_modulus expects a MonotoneAffine")
     Q = A.Q
-    if spectral_norm(Q) <= tol:
+    if _spectral_norm(Q) <= tol:
         return MU_CAP, True
     if np.max(np.abs(Q - Q.T)) <= tol:
         lam_max = float(np.linalg.eigvalsh((Q + Q.T) / 2.0)[-1])
@@ -550,7 +573,7 @@ def cocoercivity_modulus(A: MonotoneAffine, tol: float = NORM_TOL) -> tuple[floa
     lam_min = float(np.linalg.eigvalsh((Q + Q.T) / 2.0)[0])
     if lam_min <= tol:
         return 0.0, False
-    return min(lam_min / spectral_norm(Q) ** 2, MU_CAP), False
+    return min(lam_min / _spectral_norm(Q) ** 2, MU_CAP), False
 
 
 _FLAT_UNSET = object()
@@ -571,8 +594,11 @@ def flatten_to_affine(T: Operator) -> AffineMap | None:
     Returns ``None`` when a projector of a non-affine set occurs anywhere in
     the tree.  The collapsed map is cross-checked against tree evaluation at
     dim+11 points (0, the unit vectors, ten seeded Gaussian samples), stacked
-    into one tree walk, within a relative 1e-9.  A disagreement raises
-    ``NumericalError`` naming the first failing probe; only agreement is cached.
+    into one tree walk, within a relative 1e-9.  A disagreement, or a
+    collapsed ``M`` or ``b`` that is not finite (an overflow), raises
+    ``NumericalError``; only agreement is cached.  The parts were validated
+    nonexpansive when they were built, so the collapsed map is not validated
+    again, and its ``norm`` is computed on first read.
     """
     if not isinstance(T, Operator):
         raise ValidationError("flatten_to_affine expects an Operator")
@@ -587,15 +613,18 @@ def flatten_to_affine(T: Operator) -> AffineMap | None:
         flat = None
     else:
         M, b = pair
-        flat = AffineMap(M, b)
+        if not (np.isfinite(M).all() and np.isfinite(b).all()):
+            raise NumericalError("flattened affine map has non-finite entries")
         probes = _probe_stack(T.dim)
         direct = T._apply(probes)
         err = np.linalg.norm(direct - (probes @ M.T + b), axis=1)
-        bad = np.flatnonzero(err > 1e-9 * (1.0 + np.linalg.norm(direct, axis=1)))
+        # negated, so that a NaN error fails too
+        bad = np.flatnonzero(~(err <= 1e-9 * (1.0 + np.linalg.norm(direct, axis=1))))
         if bad.size:
             raise NumericalError(
                 f"flattened affine map disagrees with tree evaluation (error {err[bad[0]]:.3e})"
             )
+        flat = AffineMap._collapsed(M, b)
     T._flat_cache = flat
     return flat
 

@@ -15,7 +15,7 @@ import csv
 import io
 import json
 import os
-import tempfile
+import uuid
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, NamedTuple
@@ -40,11 +40,12 @@ from .operators import (
 from .sets import AffineSet, Ball, Box, ConvexSet, Halfspace, Singleton
 
 SCHEMA_VERSION = 1
+_FLOAT_FORMAT = ".17g"
 
 
 def fmt_float(x: float) -> str:
     """17-significant-digit decimal string (exact float64 round trip)."""
-    return format(float(x), ".17g")
+    return format(float(x), _FLOAT_FORMAT)
 
 
 def stringify_numbers(obj):
@@ -58,6 +59,8 @@ def stringify_numbers(obj):
     if isinstance(obj, (float, np.floating)):
         return fmt_float(obj)
     if isinstance(obj, np.ndarray):
+        if obj.ndim == 1 and obj.dtype == np.float64:  # the common case, one walk
+            return [format(v, _FLOAT_FORMAT) for v in obj.tolist()]
         return [stringify_numbers(v) for v in obj.tolist()]
     if isinstance(obj, AffineSubspace):
         return {"base": stringify_numbers(obj.base), "rank": obj.rank}
@@ -463,13 +466,12 @@ def dumps_report(payload: dict) -> str:
 def write_atomic(path: str, text: str) -> None:
     """Write via a same-directory temp file and rename, so readers never see partial files."""
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".mdvkit-", suffix=".tmp")
+    tmp = os.path.join(directory, f".mdvkit-{uuid.uuid4().hex}.tmp")
+    # mode 0o666 less the umask, applied by the kernel: the mode survives the rename
+    fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
-        umask = os.umask(0)
-        os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)  # mkstemp's 0600 would survive the rename
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

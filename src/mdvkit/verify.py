@@ -338,10 +338,10 @@ def check_brezis_haraux_affine(A: MonotoneAffine, B: MonotoneAffine,
     mu_b, _ = cocoercivity_modulus(B)
     met = (mu_a > 0.0) or (mu_b > 0.0)
     notes = "" if met else "hypothesis unmet: neither operator certified cocoercive"
-    lhs = AffineSubspace(A.q + B.q, orthonormal_range_basis(A.Q + B.Q))
+    lhs = AffineSubspace._computed(as_vector(A.q + B.q), orthonormal_range_basis(A.Q + B.Q))
     rhs = minkowski_sum_affine(
-        AffineSubspace(A.q, orthonormal_range_basis(A.Q)),
-        AffineSubspace(B.q, orthonormal_range_basis(B.Q)),
+        AffineSubspace._computed(A.q, orthonormal_range_basis(A.Q)),
+        AffineSubspace._computed(B.q, orthonormal_range_basis(B.Q)),
     )
     d = affine_discrepancy(lhs, rhs)
     return _make("brezis_haraux_affine", lhs, rhs, d, tol,
@@ -384,7 +384,7 @@ def check_range_identity_reflected(A: MonotoneAffine, tol: float = EXACT_TOL,
     = reflected-resolvent displacement range."""
     if not isinstance(A, MonotoneAffine):
         raise ValidationError("expected a MonotoneAffine")
-    ran_twice = AffineSubspace(A.q, orthonormal_range_basis(A.Q)).scaled(2.0)
+    ran_twice = AffineSubspace._computed(A.q, orthonormal_range_basis(A.Q)).scaled(2.0)
     resolvent_disp = disp.displacement_range_affine(Resolvent(A)).scaled(2.0)
     reflected_disp = disp.displacement_range_affine(ReflectedResolvent(A))
     d = max(

@@ -9,6 +9,7 @@ from mdvkit import verify
 from mdvkit.cli import (
     EXIT_CHECK_FAILED,
     EXIT_INVALID,
+    EXIT_NUMERICAL,
     EXIT_OK,
     main,
 )
@@ -294,4 +295,15 @@ def test_malformed_nodes_exit_two_with_their_path(tmp_path, capsys, command, scn
     assert main([command, _dump(tmp_path, scn)]) == EXIT_INVALID
     err = capsys.readouterr().err
     assert err.startswith("error: " + prefix), err
+    assert "Traceback" not in err
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_overflowing_composition_exits_three(tmp_path, capsys):
+    far = {"affine": {"M": [[1.0, 0.0], [0.0, 1.0]], "b": [1e308, 0.0]}}
+    scn = {"name": "overflow", "dim": 2, "seed": 0,
+           "operators": [{"compose": [far, far]}], "checks": []}
+    assert main(["estimate", _dump(tmp_path, scn)]) == EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert err.startswith("numerical error: flattened affine map has non-finite entries"), err
     assert "Traceback" not in err

@@ -131,6 +131,20 @@ def test_flatten_probe_check_fires_and_reports_the_first_failing_probe():
         displacement_range_affine(op)
 
 
+def test_flatten_cross_check_fails_a_nan_evaluation():
+    # NaN compares false with any bound, so the check must not be "err > bound"
+    op = _Bumped(lambda x: np.full(x.shape[:-1], np.nan))
+    with pytest.raises(NumericalError, match="disagrees"):
+        flatten_to_affine(op)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_flatten_turns_an_overflowed_collapse_into_a_numerical_error():
+    far = AffineMap.translation([1e308, 0.0])  # valid alone; twice it is inf
+    with pytest.raises(NumericalError, match="non-finite"):
+        minimal_displacement(Composition([far, far]))
+
+
 def test_flatten_probe_stack_is_built_once_per_dimension_and_read_only():
     probes = operators_mod._probe_stack(4)
     assert probes is operators_mod._probe_stack(4) and not probes.flags.writeable
@@ -156,6 +170,45 @@ def test_range_is_computed_once_per_operator(monkeypatch):
     assert fresh is not first and len(calls) == 2
     np.testing.assert_array_equal(fresh.base, first.base)
     np.testing.assert_array_equal(fresh.basis, first.basis)
+
+
+def test_exact_route_factorizes_once(monkeypatch):
+    op = Composition([_reflection([0.5, 0.5, 0.0]), AffineMap(0.5 * np.eye(3), np.ones(3)),
+                      AffineMap.translation([0.1, 0.2, 0.3])])
+    calls = []
+    svd = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    displacement_exact_affine(op)
+    assert len(calls) == 1  # the range basis; the collapsed map is not re-validated
+    flat = flatten_to_affine(op)
+    assert flat.norm == pytest.approx(0.5)
+    assert len(calls) == 2
+    assert flat.norm == pytest.approx(0.5)
+    assert len(calls) == 2
+
+
+def _turns(angles, scale):
+    """Block-diagonal plane rotations by ``angles``, times ``scale``."""
+    M = np.zeros((2 * len(angles), 2 * len(angles)))
+    for i, t in enumerate(angles):
+        M[2 * i:2 * i + 2, 2 * i:2 * i + 2] = [[math.cos(t), -math.sin(t)],
+                                                [math.sin(t), math.cos(t)]]
+    return scale * M
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_powers_of_a_map_within_the_norm_slack_stay_exact(k):
+    # |M| = 1 + 0.9e-10 passes the constructor's 1e-10 slack; |M^k| does not,
+    # yet the power of a valid map is as valid as the map
+    op = AffineMap(_turns([0.3, 1.1], 1.0 + 0.9e-10), np.ones(4))
+    est = minimal_displacement(Composition([op] * k))
+    assert est.method == EXACT_AFFINE
+    assert est.norm < 1e-12  # I - M^k is invertible, so v = 0
 
 
 def test_membership_in_displacement_range():

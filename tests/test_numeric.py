@@ -120,6 +120,17 @@ def test_minkowski_sum_of_points():
     np.testing.assert_allclose(s.base, [1.0, 2.0])
 
 
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_computed_subspaces_are_frozen_and_refuse_an_overflowed_base():
+    far = AffineSubspace(np.array([1e308, 0.0]), np.array([[0.0], [1.0]]))
+    for s in (far.scaled(0.5), far.scaled(0.0), minkowski_sum_affine(far, far.scaled(0.5))):
+        assert not s.base.flags.writeable and not s.basis.flags.writeable
+    with pytest.raises(ValidationError, match="finite"):
+        far.scaled(10.0)
+    with pytest.raises(ValidationError, match="finite"):
+        minkowski_sum_affine(far, far)
+
+
 def test_affine_equal_different_parameterizations():
     # same line through (1,0) with direction (1,1), written two ways
     d = np.array([[1.0], [1.0]]) / np.sqrt(2.0)

@@ -291,6 +291,17 @@ def test_write_atomic_honours_the_umask(tmp_path, umask, mode):
     assert stat.S_IMODE(os.stat(target).st_mode) == mode
 
 
+def test_write_atomic_leaves_the_process_umask_alone(tmp_path, monkeypatch):
+    # setting the umask, even briefly, changes it for every thread of the process
+    def refuse(mask):
+        raise AssertionError("write_atomic must not call os.umask")
+
+    monkeypatch.setattr(os, "umask", refuse)
+    target = tmp_path / "report.json"
+    write_atomic(str(target), "{}\n")
+    assert target.read_text() == "{}\n"
+
+
 def test_load_report_rejects_wrong_schema(tmp_path):
     p = tmp_path / "r.json"
     p.write_text('{"schema_version": 99}')
