@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import cache
 
 from . import scenario as scn_mod
 from . import verify
@@ -20,7 +21,10 @@ EXIT_INVALID = 2
 EXIT_NUMERICAL = 3
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process: ``parse_args`` leaves it unchanged, so
+    every :func:`main` call after the first reuses it."""
     parser = argparse.ArgumentParser(
         prog="mdvkit",
         description="Estimate minimal displacement vectors and verify their calculus.",
@@ -115,9 +119,8 @@ def cmd_report(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_OK if exc.code == 0 else EXIT_INVALID
     try:

@@ -88,12 +88,21 @@ class MonotoneAffine:
     def shift_input(self, y) -> "MonotoneAffine":
         """The operator ``x -> A(x - y)`` (same Q, constant term q - Qy)."""
         y = as_vector(y, self.dim)
-        return MonotoneAffine(self.Q, self.q - self.Q @ y)
+        return self._with_constant(self.q - self.Q @ y)
 
     def shift_output(self, y) -> "MonotoneAffine":
         """The operator ``x -> A(x) - y`` (same Q, constant term q - y)."""
         y = as_vector(y, self.dim)
-        return MonotoneAffine(self.Q, self.q - y)
+        return self._with_constant(self.q - y)
+
+    def _with_constant(self, q) -> "MonotoneAffine":
+        """This operator's ``Q``, already validated monotone, with constant term ``q``."""
+        q = as_vector(q, self.dim).copy()
+        q.setflags(write=False)
+        out = MonotoneAffine.__new__(MonotoneAffine)
+        out.Q = self.Q
+        out.q = q
+        return out
 
     def __repr__(self):
         return f"MonotoneAffine(dim={self.dim})"
@@ -223,9 +232,10 @@ class AffineMap(Operator):
 
     @classmethod
     def _collapsed(cls, M: np.ndarray, b: np.ndarray) -> "AffineMap":
-        """The finite ``(M, b)`` of a tree of validated parts, without the
-        validation SVD: a composition or convex combination of nonexpansive
-        maps is nonexpansive, up to rounding."""
+        """A finite ``(M, b)`` known to be nonexpansive, without the validation
+        SVD: the identity, or the collapse of a tree of validated parts (a
+        composition or convex combination of nonexpansive maps is
+        nonexpansive, up to rounding)."""
         self = cls.__new__(cls)
         self._set(M, b)
         return self
@@ -245,13 +255,13 @@ class AffineMap(Operator):
 
     @classmethod
     def identity(cls, dim: int) -> "AffineMap":
-        return cls(np.eye(dim), np.zeros(dim))
+        return cls.translation(np.zeros(dim))
 
     @classmethod
     def translation(cls, offset) -> "AffineMap":
         """The map ``x -> x + offset``."""
         offset = as_vector(offset)
-        return cls(np.eye(offset.size), offset)
+        return cls._collapsed(np.eye(offset.size), offset)
 
     def _apply(self, x):
         return _matvec(self.M, x) + self.b
@@ -268,10 +278,11 @@ class AffineMap(Operator):
         return _averaged_at(self.M, ALPHA_CEILING)
 
     def _regularity(self):
-        alpha = minimal_averagedness(self.M)
-        if alpha is None:
+        # averaged at ALPHA_CEILING bounds |M| by 1 + NORM_TOL, as minimal_averagedness
+        # requires; a collapsed map a rounding above that is merely nonexpansive
+        if not self.is_averaged:
             return Regularity.nonexpansive()
-        return Regularity.averaged(alpha)
+        return Regularity.averaged(minimal_averagedness(self.M))
 
     def __repr__(self):
         return f"AffineMap(dim={self.dim})"
@@ -563,17 +574,20 @@ def cocoercivity_modulus(A: MonotoneAffine, tol: float = NORM_TOL) -> tuple[floa
     if not isinstance(A, MonotoneAffine):
         raise ValidationError("cocoercivity_modulus expects a MonotoneAffine")
     Q = A.Q
-    if _spectral_norm(Q) <= tol:
-        return MU_CAP, True
+    eigs = np.linalg.eigvalsh((Q + Q.T) / 2.0)
     if np.max(np.abs(Q - Q.T)) <= tol:
-        lam_max = float(np.linalg.eigvalsh((Q + Q.T) / 2.0)[-1])
-        if lam_max <= 1.0 / MU_CAP:
+        lam_max = float(eigs[-1])
+        # the spectral norm of a symmetric matrix is its largest |eigenvalue|
+        if max(-float(eigs[0]), lam_max) <= tol or lam_max <= 1.0 / MU_CAP:
             return MU_CAP, True
         return min(1.0 / lam_max, MU_CAP), True
-    lam_min = float(np.linalg.eigvalsh((Q + Q.T) / 2.0)[0])
+    smax = _spectral_norm(Q)
+    if smax <= tol:
+        return MU_CAP, True
+    lam_min = float(eigs[0])
     if lam_min <= tol:
         return 0.0, False
-    return min(lam_min / _spectral_norm(Q) ** 2, MU_CAP), False
+    return min(lam_min / smax ** 2, MU_CAP), False
 
 
 _FLAT_UNSET = object()
@@ -608,7 +622,8 @@ def flatten_to_affine(T: Operator) -> AffineMap | None:
     if isinstance(T, AffineMap):
         T._flat_cache = T
         return T
-    pair = T._affine_pair()
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
+        pair = T._affine_pair()
     if pair is None:
         flat = None
     else:

@@ -512,12 +512,15 @@ _CSV = {
 
 
 def _csv_cell(row: dict, column: str):
+    """One cell, rendered as the JSON report renders the value it prints."""
     if column == "witness_summary":
-        text = "" if row.get("witness") is None else json.dumps(row["witness"], sort_keys=True)
+        witness = row.get("witness")
+        text = "" if witness is None else json.dumps(stringify_numbers(witness), sort_keys=True)
         return text if len(text) <= 60 else text[:57] + "..."
+    value = stringify_numbers(row.get(column))
     if column in _FLAGS and column in row:
-        return str(bool(row[column])).lower()
-    return row.get(column)
+        return str(bool(value)).lower()
+    return value
 
 
 def _layout(payload: dict, path: str) -> tuple:
@@ -534,6 +537,6 @@ def report_to_csv(payload: dict) -> str:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(columns)
-    for row in stringify_numbers(payload.get(rows_key, [])):
+    for row in payload.get(rows_key, []):
         writer.writerow([_csv_cell(row, column) for column in columns])
     return out.getvalue()

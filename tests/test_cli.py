@@ -1,11 +1,12 @@
 """Command-line behavior: exit codes, output formats, determinism."""
 
+import argparse
 import json
 from pathlib import Path
 
 import pytest
 
-from mdvkit import verify
+from mdvkit import cli, verify
 from mdvkit.cli import (
     EXIT_CHECK_FAILED,
     EXIT_INVALID,
@@ -232,6 +233,37 @@ def test_bad_flags_exit_two(capsys):
     assert main(["--help"]) == EXIT_OK
 
 
+def test_main_builds_its_parser_once_per_process(monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        if kwargs.get("prog") == "mdvkit":  # not the subcommands' parsers
+            built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    cli._build_parser.cache_clear()
+    for argv in (["estimate", REFLECTIONS], ["report", "--help"], ["estimate", REFLECTIONS]):
+        main(argv)
+    assert built == [1]
+
+
+def test_refused_and_help_calls_leave_the_next_output_unchanged(capsys):
+    argv = ["verify", PROJECTOR_MIX, "--format", "csv", "--seed", "99"]
+    assert main(argv) == EXIT_OK
+    first = capsys.readouterr().out
+    assert main(["verify", PROJECTOR_MIX, "--no-such-flag"]) == EXIT_INVALID
+    assert main(["verify", "--help"]) == EXIT_OK
+    assert main(["--help"]) == EXIT_OK
+    capsys.readouterr()
+    assert main(argv) == EXIT_OK
+    assert capsys.readouterr().out == first
+    # flags of an earlier call do not carry over: the defaults are back
+    assert main(["verify", PROJECTOR_MIX]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["seed"] == 11
+
+
 def _with(**changes):
     scn = json.loads(json.dumps(GOOD_SCENARIO))
     scn.update(changes)
@@ -298,7 +330,7 @@ def test_malformed_nodes_exit_two_with_their_path(tmp_path, capsys, command, scn
     assert "Traceback" not in err
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.filterwarnings("error")  # numpy's own warning would expose a source line
 def test_overflowing_composition_exits_three(tmp_path, capsys):
     far = {"affine": {"M": [[1.0, 0.0], [0.0, 1.0]], "b": [1e308, 0.0]}}
     scn = {"name": "overflow", "dim": 2, "seed": 0,

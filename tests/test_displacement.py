@@ -22,6 +22,7 @@ from mdvkit.displacement import (
 from mdvkit.errors import NumericalError, UnsupportedOperatorError, ValidationError
 from mdvkit.numeric import AffineSubspace, orthonormal_range_basis
 from mdvkit.operators import (
+    NORM_TOL,
     AffineMap,
     Composition,
     ConvexCombination,
@@ -138,7 +139,7 @@ def test_flatten_cross_check_fails_a_nan_evaluation():
         flatten_to_affine(op)
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.filterwarnings("error")  # mdvkit's error is the only report of the overflow
 def test_flatten_turns_an_overflowed_collapse_into_a_numerical_error():
     far = AffineMap.translation([1e308, 0.0])  # valid alone; twice it is inf
     with pytest.raises(NumericalError, match="non-finite"):
@@ -209,6 +210,14 @@ def test_powers_of_a_map_within_the_norm_slack_stay_exact(k):
     est = minimal_displacement(Composition([op] * k))
     assert est.method == EXACT_AFFINE
     assert est.norm < 1e-12  # I - M^k is invertible, so v = 0
+
+
+def test_a_power_past_the_norm_slack_is_merely_nonexpansive():
+    op = AffineMap(_turns([0.3, 1.1], 1.0 + 0.9e-10), np.ones(4))
+    flat = flatten_to_affine(Composition([op] * 3))
+    assert flat.norm > 1.0 + NORM_TOL  # compounded rounding past the constructor's slack
+    assert not flat.is_averaged
+    assert flat.regularity() == Regularity.nonexpansive()
 
 
 def test_membership_in_displacement_range():

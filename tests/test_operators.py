@@ -78,6 +78,32 @@ def test_monotone_affine_shifts():
     np.testing.assert_allclose(A.shift_output(y)(x), A(x) - y)
 
 
+def test_known_maps_and_shifts_skip_the_validation_factorizations(monkeypatch):
+    # translations, the identity and shifted monotone operators are valid by
+    # construction; only the caller's offset or shift is checked
+    A = MonotoneAffine([[2.0, 1.0], [1.0, 1.0]], [1.0, -1.0])
+    calls = []
+
+    def counted(name):
+        real = getattr(np.linalg, name)
+        return lambda *args, **kwargs: calls.append(name) or real(*args, **kwargs)
+
+    for name in ("svd", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, counted(name))
+    shift = AffineMap.translation([0.5, -0.5])
+    AffineMap.identity(3)
+    shifted = [A.shift_input([0.5, 0.25]), A.shift_output([0.5, 0.25])]
+    assert calls == []
+    assert all(s.Q is A.Q and not s.q.flags.writeable for s in shifted)
+    with pytest.raises(ValidationError):
+        A.shift_output([np.inf, 0.0])
+    assert shift.norm == 1.0 and calls == ["svd"]  # computed on first read
+    calls.clear()
+    # symmetric Q: the zero-map test reads the eigenvalues the modulus needs
+    assert cocoercivity_modulus(A) == (pytest.approx(2.0 / (3.0 + 5.0 ** 0.5)), True)
+    assert calls == ["eigvalsh"]
+
+
 def test_convex_combination_weight_validation():
     a = AffineMap.identity(2)
     b = AffineMap([[0.5, 0.0], [0.0, 0.5]], [0.0, 0.0])

@@ -1,5 +1,7 @@
 """Scenario parsing, report payloads, canonical serialization."""
 
+import csv
+import io
 import json
 import os
 import stat
@@ -8,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from mdvkit.displacement import minimal_displacement
 from mdvkit.errors import ValidationError
 from mdvkit.numeric import AffineSubspace
 from mdvkit.operators import (
@@ -21,8 +24,10 @@ from mdvkit.operators import (
     SetProjector,
 )
 from mdvkit.scenario import (
+    _CSV,
     dumps_report,
     estimate_payload,
+    estimate_to_dict,
     fmt_float,
     load_report,
     load_scenario,
@@ -327,6 +332,53 @@ def test_report_to_csv_verify_and_estimate():
     assert bare.splitlines()[1] == "c,,,,,"
     with pytest.raises(ValidationError):
         report_to_csv({"kind": "mystery"})
+
+
+def _former_csv(payload):
+    """Reference copy of the CSV rendering that stringified whole rows first."""
+    rows_key, columns = _CSV[payload["kind"]]
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(columns)
+    for row in stringify_numbers(payload[rows_key]):
+        cells = []
+        for column in columns:
+            if column == "witness_summary":
+                text = "" if row.get("witness") is None else json.dumps(row["witness"],
+                                                                         sort_keys=True)
+                cells.append(text if len(text) <= 60 else text[:57] + "...")
+            elif column in ("pass", "converged", "hypothesis_met") and column in row:
+                cells.append(str(bool(row[column])).lower())
+            else:
+                cells.append(row.get(column))
+        writer.writerow(cells)
+    return out.getvalue()
+
+
+def test_csv_renders_the_bytes_of_the_former_whole_row_walk(tmp_path):
+    reports = builtin_suite(seed=7, randomized_count=6, cyclic_count=2,
+                            closed_form_triples=1, cocoercive_count=3)
+    checks = verify_payload("small", 7, reports)
+    scn = load_scenario(str(REPO_SCENARIOS / "projector_mix.json"))
+    estimates = estimate_payload(scn.name, scn.seed, [
+        estimate_to_dict(f"op[{i}]", minimal_displacement(op, x0=scn.x0))
+        for i, op in enumerate(scn.operators)])
+    assert any(isinstance(r.lhs, AffineSubspace) for r in reports)
+    assert any(isinstance(r.witness, np.ndarray) for r in reports)
+    for payload in (checks, estimates):
+        path = str(tmp_path / f"{payload['kind']}.json")
+        write_atomic(path, dumps_report(payload))
+        text = report_to_csv(payload)
+        assert text == _former_csv(payload)
+        assert report_to_csv(load_report(path)) == text
+    # values a saved report cannot hold: each flag is read after the same walk
+    odd = {"pass": np.float64(0.0), "seed": np.int64(5), "discrepancy": np.float32(0.25),
+           "witness": (np.arange(30.0), {2: 1 / 3}), "lhs": np.eye(3)}
+    checks["checks"].append(odd)
+    estimates["estimates"].append({"label": "x", "converged": np.bool_(False),
+                                   "iterations": np.int64(3), "vector": np.ones(2)})
+    for payload in (checks, estimates):
+        assert report_to_csv(payload) == _former_csv(payload)
 
 
 # ---------------------------------------------------------------------------
