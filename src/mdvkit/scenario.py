@@ -514,8 +514,8 @@ _CSV = {
 def _csv_cell(row: dict, column: str):
     """One cell, rendered as the JSON report renders the value it prints."""
     if column == "witness_summary":
-        witness = row.get("witness")
-        text = "" if witness is None else json.dumps(stringify_numbers(witness), sort_keys=True)
+        witness = stringify_numbers(row.get("witness"))
+        text = "" if witness is None else json.dumps(witness, sort_keys=True)
         return text if len(text) <= 60 else text[:57] + "..."
     value = stringify_numbers(row.get(column))
     if column in _FLAGS and column in row:
