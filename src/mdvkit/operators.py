@@ -88,21 +88,12 @@ class MonotoneAffine:
     def shift_input(self, y) -> "MonotoneAffine":
         """The operator ``x -> A(x - y)`` (same Q, constant term q - Qy)."""
         y = as_vector(y, self.dim)
-        return self._with_constant(self.q - self.Q @ y)
+        return MonotoneAffine(self.Q, self.q - self.Q @ y)
 
     def shift_output(self, y) -> "MonotoneAffine":
         """The operator ``x -> A(x) - y`` (same Q, constant term q - y)."""
         y = as_vector(y, self.dim)
-        return self._with_constant(self.q - y)
-
-    def _with_constant(self, q) -> "MonotoneAffine":
-        """This operator's ``Q``, already validated monotone, with constant term ``q``."""
-        q = as_vector(q, self.dim).copy()
-        q.setflags(write=False)
-        out = MonotoneAffine.__new__(MonotoneAffine)
-        out.Q = self.Q
-        out.q = q
-        return out
+        return MonotoneAffine(self.Q, self.q - y)
 
     def __repr__(self):
         return f"MonotoneAffine(dim={self.dim})"
@@ -232,10 +223,9 @@ class AffineMap(Operator):
 
     @classmethod
     def _collapsed(cls, M: np.ndarray, b: np.ndarray) -> "AffineMap":
-        """A finite ``(M, b)`` known to be nonexpansive, without the validation
-        SVD: the identity, or the collapse of a tree of validated parts (a
-        composition or convex combination of nonexpansive maps is
-        nonexpansive, up to rounding)."""
+        """The finite ``(M, b)`` of a tree of validated parts, without the
+        validation SVD: a composition or convex combination of nonexpansive
+        maps is nonexpansive, up to rounding."""
         self = cls.__new__(cls)
         self._set(M, b)
         return self
@@ -255,13 +245,13 @@ class AffineMap(Operator):
 
     @classmethod
     def identity(cls, dim: int) -> "AffineMap":
-        return cls.translation(np.zeros(dim))
+        return cls(np.eye(dim), np.zeros(dim))
 
     @classmethod
     def translation(cls, offset) -> "AffineMap":
         """The map ``x -> x + offset``."""
         offset = as_vector(offset)
-        return cls._collapsed(np.eye(offset.size), offset)
+        return cls(np.eye(offset.size), offset)
 
     def _apply(self, x):
         return _matvec(self.M, x) + self.b
@@ -278,11 +268,13 @@ class AffineMap(Operator):
         return _averaged_at(self.M, ALPHA_CEILING)
 
     def _regularity(self):
-        # averaged at ALPHA_CEILING bounds |M| by 1 + NORM_TOL, as minimal_averagedness
-        # requires; a collapsed map a rounding above that is merely nonexpansive
-        if not self.is_averaged:
+        # the bisection without minimal_averagedness's norm check: a collapsed
+        # map may sit a rounding above 1 + NORM_TOL, and is then judged only
+        # by whether it is averaged at ALPHA_CEILING
+        alpha = _bisect_averagedness(self.M, NORM_TOL)
+        if alpha is None:
             return Regularity.nonexpansive()
-        return Regularity.averaged(minimal_averagedness(self.M))
+        return Regularity.averaged(alpha)
 
     def __repr__(self):
         return f"AffineMap(dim={self.dim})"
@@ -449,8 +441,9 @@ class Composition(Operator):
         if any(pair is None for pair in pairs):
             return None
         M, b = pairs[0]
-        for Mp, bp in pairs[1:]:
-            M, b = Mp @ M, Mp @ b + bp
+        with np.errstate(over="ignore", invalid="ignore"):  # flatten_to_affine reports an overflow
+            for Mp, bp in pairs[1:]:
+                M, b = Mp @ M, Mp @ b + bp
         return M, b
 
     def _displacement_cover(self, cover):
@@ -511,9 +504,10 @@ class ConvexCombination(Operator):
         if any(pair is None for pair in pairs):
             return None
         M, b = np.zeros((self.dim, self.dim)), np.zeros(self.dim)
-        for w, (Mp, bp) in zip(self.weights, pairs):
-            M += w * Mp
-            b += w * bp
+        with np.errstate(over="ignore", invalid="ignore"):  # flatten_to_affine reports an overflow
+            for w, (Mp, bp) in zip(self.weights, pairs):
+                M += w * Mp
+                b += w * bp
         return M, b
 
     def _displacement_cover(self, cover):
@@ -548,6 +542,11 @@ def minimal_averagedness(M, tol: float = NORM_TOL) -> float | None:
         raise ValidationError("tolerance must be nonnegative")
     if _spectral_norm(M) > 1.0 + tol:
         raise ValidationError("matrix has spectral norm above one: not nonexpansive")
+    return _bisect_averagedness(M, tol)
+
+
+def _bisect_averagedness(M: np.ndarray, tol: float) -> float | None:
+    """:func:`minimal_averagedness` of a finite square matrix, without its norm check."""
     if _averaged_at(M, ALPHA_FLOOR, tol):
         return ALPHA_FLOOR
     if not _averaged_at(M, ALPHA_CEILING, tol):
@@ -574,20 +573,17 @@ def cocoercivity_modulus(A: MonotoneAffine, tol: float = NORM_TOL) -> tuple[floa
     if not isinstance(A, MonotoneAffine):
         raise ValidationError("cocoercivity_modulus expects a MonotoneAffine")
     Q = A.Q
-    eigs = np.linalg.eigvalsh((Q + Q.T) / 2.0)
+    if _spectral_norm(Q) <= tol:
+        return MU_CAP, True
     if np.max(np.abs(Q - Q.T)) <= tol:
-        lam_max = float(eigs[-1])
-        # the spectral norm of a symmetric matrix is its largest |eigenvalue|
-        if max(-float(eigs[0]), lam_max) <= tol or lam_max <= 1.0 / MU_CAP:
+        lam_max = float(np.linalg.eigvalsh((Q + Q.T) / 2.0)[-1])
+        if lam_max <= 1.0 / MU_CAP:
             return MU_CAP, True
         return min(1.0 / lam_max, MU_CAP), True
-    smax = _spectral_norm(Q)
-    if smax <= tol:
-        return MU_CAP, True
-    lam_min = float(eigs[0])
+    lam_min = float(np.linalg.eigvalsh((Q + Q.T) / 2.0)[0])
     if lam_min <= tol:
         return 0.0, False
-    return min(lam_min / smax ** 2, MU_CAP), False
+    return min(lam_min / _spectral_norm(Q) ** 2, MU_CAP), False
 
 
 _FLAT_UNSET = object()
@@ -622,8 +618,7 @@ def flatten_to_affine(T: Operator) -> AffineMap | None:
     if isinstance(T, AffineMap):
         T._flat_cache = T
         return T
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
-        pair = T._affine_pair()
+    pair = T._affine_pair()
     if pair is None:
         flat = None
     else:
