@@ -18,12 +18,10 @@ from .operators import (
     MonotoneAffine,
     Operator,
     ReflectedResolvent,
-    Regularity,
     Resolvent,
     SetProjector,
     cocoercivity_modulus,
     flatten_to_affine,
-    minimal_averagedness,
     spectral_norm,
 )
 from .sets import AffineSet, Ball, Box, ConvexSet, Halfspace, Singleton, full_space
@@ -48,7 +46,6 @@ __all__ = [
     "NumericalError",
     "Operator",
     "ReflectedResolvent",
-    "Regularity",
     "Resolvent",
     "SetProjector",
     "Singleton",
@@ -62,7 +59,6 @@ __all__ = [
     "flatten_to_affine",
     "full_space",
     "membership_in_displacement_range",
-    "minimal_averagedness",
     "minimal_displacement",
     "minkowski_sum_affine",
     "orthonormal_range_basis",

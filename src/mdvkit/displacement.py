@@ -138,15 +138,15 @@ def displacement_iterative(
 ) -> DisplacementEstimate:
     """Estimate the minimal displacement vector by fixed-point iteration.
 
-    Averaged operators and affine strict contractions iterate ``T``: the
-    residual ``x_n - T x_n`` converges to the minimal displacement vector.
-    Other operators iterate the averaged ``T_half = (Id + T) / 2``, whose
-    vector is half of ``T``'s, and report its residual doubled.  When ``T``
-    flattens to a non-contractive ``x -> Mx + b``, the fixed point of
-    ``T_half`` (``solve(I - M, b)``, one LU factorization) is proposed first
-    unless ``I - M`` is singular: its evaluated residual is offered to the
-    bounds below when ``|e| <= tol`` and the run returns it if certified,
-    else drops it.  When ``T_half`` is affine, restarted RRE also proposes a
+    Averaged operators iterate ``T``: the residual ``x_n - T x_n`` converges
+    to the minimal displacement vector.  Other operators iterate the averaged
+    ``T_half = (Id + T) / 2``, whose vector is half of ``T``'s, and report its
+    residual doubled.  When ``T`` flattens to ``x -> Mx + b``, the fixed
+    point of ``T_half`` (``solve(I - M, b)``, one LU factorization) is
+    proposed first unless ``I - M`` is singular: its evaluated residual is
+    offered to the bounds below when ``|e| <= tol`` and the run returns it
+    if certified, else drops it, which certifies a strict contraction in one
+    evaluation.  When ``T_half`` is affine, restarted RRE also proposes a
     restart point every ``min(2 (dim + 3), 120)`` steps, kept only if its
     evaluated residual is smaller.  Each evaluated proposal counts as one
     iteration.  On quiet steps
@@ -177,21 +177,14 @@ def displacement_iterative(
     x = np.zeros(T.dim) if x0 is None else as_vector(x0, T.dim).copy()
 
     flat = flatten_to_affine(T)
-    contractive = False
     if flat is None:
         step = T._apply
     else:
         M, b = flat.M, flat.b
-        # A strictly contractive affine map has a unique fixed point, so the
-        # residual converges geometrically even without an averagedness
-        # certificate (e.g. an orthogonal factor inside a contraction).
-        contractive = flat.norm <= 1.0 - 1e-9
 
         def step(v):
             return M @ v + b
 
-    if contractive:  # I - M is invertible, so v = 0 and |e| is the error
-        return _residual_iteration(step, x, max_iter, tol, lambda est, *_: _norm(est))
     bound = _error_bound(T, flat, tol)
     spent = 0  # iterations spent on the fixed-point proposal
     if flat is None:

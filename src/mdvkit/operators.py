@@ -3,15 +3,14 @@
 Operator trees are immutable and evaluation is pure; ``_apply`` takes one
 vector or an ``(n, dim)`` stack of rows.  Affine leaves keep exact range
 computations available downstream; projector leaves of non-affine sets force
-the iterative fallback.  Whether a tree is averaged is decided cheaply and
-cached; the constant follows the standard two-map composition rule and the
-weighted-mean rule for convex combinations, both exercised by sampled
-inequalities in the test suite rather than assumed.
+the iterative fallback.  ``is_averaged`` answers the averagedness hypothesis
+of the composition and convex-combination results: each leaf decides it
+from its own structure (one SVD for an affine map), and a composition or
+convex combination is averaged when every part is.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import NamedTuple
 
@@ -23,9 +22,6 @@ from .sets import ConvexSet
 
 #: Spectral-norm slack accepted when validating nonexpansiveness.
 NORM_TOL = 1e-10
-
-#: Smallest averagedness constant reported (identity-like maps).
-ALPHA_FLOOR = 1e-10
 
 #: Constants above this are treated as "no averagedness certificate": with the
 #: norm slack every nonexpansive matrix would otherwise look (1-eps)-averaged.
@@ -50,10 +46,10 @@ def _matvec(M: np.ndarray, x: np.ndarray) -> np.ndarray:
     return M @ x if x.ndim == 1 else x @ M.T
 
 
-def _averaged_at(M: np.ndarray, alpha: float, tol: float = NORM_TOL) -> bool:
-    """Whether ``M = (1-alpha) Id + alpha N`` with ``N`` nonexpansive within ``tol``."""
+def _averaged_at(M: np.ndarray, alpha: float) -> bool:
+    """Whether ``M = (1-alpha) Id + alpha N`` with ``N`` nonexpansive within :data:`NORM_TOL`."""
     N = (M - (1.0 - alpha) * np.eye(M.shape[0])) / alpha
-    return _spectral_norm(N) <= 1.0 + tol
+    return _spectral_norm(N) <= 1.0 + NORM_TOL
 
 
 class MonotoneAffine:
@@ -120,54 +116,16 @@ class Cover(NamedTuple):
                      np.hstack([c.span for c in covers]), np.hstack([c.rays for c in covers]))
 
 
-@dataclass(frozen=True)
-class Regularity:
-    """Nonexpansiveness certificate: merely nonexpansive, averaged, or firmly.
+class Operator:
+    """Base class for nonexpansive operators on R^dim.
 
-    ``firmly`` is interchangeable with averaged at constant one half; the
-    :attr:`averagedness` property erases the distinction for computations.
+    ``is_averaged`` is true when the operator certifies itself averaged: some
+    ``alpha`` in (0, 1) writes it as ``(1 - alpha) Id + alpha N`` with ``N``
+    nonexpansive.  False means merely nonexpansive as far as it can tell.
     """
 
-    kind: str
-    alpha: float | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("nonexpansive", "averaged", "firmly"):
-            raise ValidationError(f"unknown regularity kind {self.kind!r}")
-        if self.kind == "averaged":
-            if self.alpha is None or not (0.0 < self.alpha < 1.0):
-                raise ValidationError("averagedness constant must lie in (0, 1)")
-        elif self.alpha is not None:
-            raise ValidationError(f"{self.kind} regularity carries no constant")
-
-    @classmethod
-    def nonexpansive(cls) -> "Regularity":
-        return cls("nonexpansive")
-
-    @classmethod
-    def averaged(cls, alpha: float) -> "Regularity":
-        return cls("averaged", float(alpha))
-
-    @classmethod
-    def firmly(cls) -> "Regularity":
-        return cls("firmly")
-
-    @property
-    def is_averaged(self) -> bool:
-        return self.kind != "nonexpansive"
-
-    @property
-    def averagedness(self) -> float | None:
-        """The certified constant (0.5 for firmly), or None when merely nonexpansive."""
-        if self.kind == "firmly":
-            return 0.5
-        return self.alpha
-
-
-class Operator:
-    """Base class for nonexpansive operators on R^dim."""
-
     dim: int
+    is_averaged: bool
 
     def apply(self, x) -> np.ndarray:
         """Evaluate the operator at ``x``."""
@@ -177,22 +135,6 @@ class Operator:
 
     def _apply(self, x: np.ndarray) -> np.ndarray:  # pragma: no cover - abstract
         """Evaluate at one vector or at each row of an ``(n, dim)`` stack."""
-        raise NotImplementedError
-
-    @cached_property
-    def is_averaged(self) -> bool:
-        """Whether the tree certifies itself averaged, without computing a constant."""
-        return self.regularity().is_averaged
-
-    def regularity(self) -> Regularity:
-        """Best certificate this tree can derive for itself, with its constant (cached)."""
-        reg = getattr(self, "_reg_cache", None)
-        if reg is None:
-            reg = self._regularity()
-            self._reg_cache = reg
-        return reg
-
-    def _regularity(self) -> Regularity:  # pragma: no cover - abstract
         raise NotImplementedError
 
     def _affine_pair(self) -> tuple[np.ndarray, np.ndarray] | None:
@@ -261,20 +203,12 @@ class AffineMap(Operator):
 
     @cached_property
     def is_averaged(self):
-        # minimal_averagedness(M) is not None, without its bisection: for
-        # alpha < beta, N_beta = (1 - alpha/beta) Id + (alpha/beta) N_alpha has
-        # norm at most 1 + (alpha/beta) tol, so averaged at ALPHA_FLOOR implies
-        # averaged at ALPHA_CEILING and one SVD decides
+        # for alpha < beta, N_beta = (1 - alpha/beta) Id + (alpha/beta) N_alpha
+        # has norm at most 1 + (alpha/beta) tol, so averaged at any alpha
+        # below ALPHA_CEILING implies averaged at ALPHA_CEILING: one SVD
+        # decides, with no norm check, so a collapsed map a rounding above
+        # 1 + NORM_TOL is judged too
         return _averaged_at(self.M, ALPHA_CEILING)
-
-    def _regularity(self):
-        # the bisection without minimal_averagedness's norm check: a collapsed
-        # map may sit a rounding above 1 + NORM_TOL, and is then judged only
-        # by whether it is averaged at ALPHA_CEILING
-        alpha = _bisect_averagedness(self.M, NORM_TOL)
-        if alpha is None:
-            return Regularity.nonexpansive()
-        return Regularity.averaged(alpha)
 
     def __repr__(self):
         return f"AffineMap(dim={self.dim})"
@@ -299,8 +233,7 @@ class SetProjector(Operator):
         rays = self.set._normal_rays()
         return None if rays is None else Cover(np.zeros(self.dim), np.zeros((self.dim, 0)), rays)
 
-    def _regularity(self):
-        return Regularity.firmly()
+    is_averaged = True  # firmly nonexpansive
 
     def __repr__(self):
         return f"SetProjector({self.set!r})"
@@ -340,18 +273,14 @@ class GradientStep(Operator):
         self.step = step
         self.lipschitz = lips
         self.dim = Q.shape[0]
+        # the margin keeps step * lmax within rounding of 2 merely nonexpansive
+        self.is_averaged = step * lips < 2.0 - 1e-12
 
     def _apply(self, x):
         return x - self.step * (_matvec(self.Q, x) + self.q)
 
     def _affine_pair(self):
         return np.eye(self.dim) - self.step * self.Q, -self.step * self.q
-
-    def _regularity(self):
-        sl = self.step * self.lipschitz
-        if sl >= 2.0 - 1e-12:
-            return Regularity.nonexpansive()
-        return Regularity.averaged(max(sl / 2.0, ALPHA_FLOOR))
 
     def __repr__(self):
         return f"GradientStep(dim={self.dim}, step={self.step})"
@@ -379,8 +308,7 @@ class Resolvent(Operator):
     def _affine_pair(self):
         return self._K, -self._Kq
 
-    def _regularity(self):
-        return Regularity.firmly()
+    is_averaged = True  # firmly nonexpansive
 
     def __repr__(self):
         return f"Resolvent(dim={self.dim})"
@@ -406,11 +334,9 @@ class ReflectedResolvent(Operator):
         J = self.resolvent
         return 2.0 * J._K - np.eye(self.dim), -2.0 * J._Kq
 
-    def _regularity(self):
-        mu, exact = cocoercivity_modulus(self.operator)
-        if mu > 0.0:
-            return Regularity.averaged(1.0 / (1.0 + mu))
-        return Regularity.nonexpansive()
+    @cached_property
+    def is_averaged(self):
+        return cocoercivity_modulus(self.operator)[0] > 0.0
 
     def __repr__(self):
         return f"ReflectedResolvent(dim={self.dim})"
@@ -453,18 +379,6 @@ class Composition(Operator):
     @cached_property
     def is_averaged(self):
         return all(p.is_averaged for p in self.parts)
-
-    def _regularity(self):
-        if len(self.parts) == 1:
-            return self.parts[0].regularity()
-        if not self.is_averaged:
-            return Regularity.nonexpansive()
-        regs = [p.regularity() for p in self.parts]
-        alpha = regs[0].averagedness
-        for r in regs[1:]:
-            a2 = r.averagedness
-            alpha = (alpha + a2 - 2.0 * alpha * a2) / (1.0 - alpha * a2)
-        return Regularity.averaged(alpha)
 
     def __repr__(self):
         return f"Composition({len(self.parts)} parts, dim={self.dim})"
@@ -516,49 +430,8 @@ class ConvexCombination(Operator):
 
     is_averaged = Composition.is_averaged  # averaged iff every part is
 
-    def _regularity(self):
-        if not self.is_averaged:
-            return Regularity.nonexpansive()
-        regs = [p.regularity() for p in self.parts]
-        if all(r.kind == "firmly" for r in regs):
-            return Regularity.firmly()
-        alpha = float(np.sum(self.weights * np.array([r.averagedness for r in regs])))
-        return Regularity.averaged(min(max(alpha, ALPHA_FLOOR), 1.0 - 1e-15))
-
     def __repr__(self):
         return f"ConvexCombination({len(self.parts)} parts, dim={self.dim})"
-
-
-def minimal_averagedness(M, tol: float = NORM_TOL) -> float | None:
-    """Smallest ``alpha`` in (0, 1) writing ``M = (1-alpha) Id + alpha N`` with
-    ``N`` nonexpansive, found by bisection to width 1e-10.
-
-    Returns ``None`` when no usable constant below :data:`ALPHA_CEILING`
-    exists (the map is treated as merely nonexpansive), and the floor
-    :data:`ALPHA_FLOOR` for identity-like maps.
-    """
-    M = as_matrix(M, square=True)
-    if tol < 0:
-        raise ValidationError("tolerance must be nonnegative")
-    if _spectral_norm(M) > 1.0 + tol:
-        raise ValidationError("matrix has spectral norm above one: not nonexpansive")
-    return _bisect_averagedness(M, tol)
-
-
-def _bisect_averagedness(M: np.ndarray, tol: float) -> float | None:
-    """:func:`minimal_averagedness` of a finite square matrix, without its norm check."""
-    if _averaged_at(M, ALPHA_FLOOR, tol):
-        return ALPHA_FLOOR
-    if not _averaged_at(M, ALPHA_CEILING, tol):
-        return None
-    lo, hi = ALPHA_FLOOR, ALPHA_CEILING
-    while hi - lo > 1e-10:
-        mid = 0.5 * (lo + hi)
-        if _averaged_at(M, mid, tol):
-            hi = mid
-        else:
-            lo = mid
-    return hi
 
 
 def cocoercivity_modulus(A: MonotoneAffine, tol: float = NORM_TOL) -> tuple[float, bool]:

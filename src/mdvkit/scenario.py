@@ -355,6 +355,10 @@ def _read_json(path: str, what: str):
         raise ValidationError(
             f"{path}: malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})") from exc
+    except RecursionError as exc:
+        raise ValidationError(f"{path}: JSON nested too deeply to read") from exc
 
 
 def load_scenario(path: str) -> Scenario:

@@ -227,6 +227,29 @@ def test_malformed_scenario_exits_two(tmp_path, capsys):
     assert "malformed JSON" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["estimate", "report"])
+@pytest.mark.parametrize("content, message", [
+    (b"\xff\xfe{}", "not UTF-8 text"),
+    (b"[" * 100_000 + b"]" * 100_000, "JSON nested too deeply to read"),
+], ids=["undecodable", "over_deep"])
+def test_unreadable_json_exits_two_naming_the_file(command, content, message, tmp_path, capsys):
+    p = tmp_path / "input.json"
+    p.write_bytes(content)
+    assert main([command, str(p)]) == EXIT_INVALID
+    assert capsys.readouterr().err.startswith(f"error: {p}: {message}")
+
+
+def test_reflected_resolvent_with_a_tiny_modulus_estimates(tmp_path, capsys):
+    # mu is about 1e-17 > 0, so 1 / (1 + mu) rounds to 1: averaged, with no
+    # constant below one to show for it
+    nearly_skew = {"reflected": {"Q": [[1e-9, 1e4], [-1e4, 1e-9]], "q": [0, 0]}}
+    ball = {"projector": {"ball": {"center": [0, 0], "radius": 1}}}
+    scn = {"name": "tiny-modulus", "dim": 2, "operators": [{"compose": [nearly_skew, ball]}]}
+    assert main(["estimate", _dump(tmp_path, scn)]) == EXIT_OK
+    est = json.loads(capsys.readouterr().out)["estimates"][0]
+    assert est["converged"]
+
+
 def test_bad_flags_exit_two(capsys):
     assert main(["no-such-command"]) == EXIT_INVALID
     assert main([]) == EXIT_INVALID

@@ -27,7 +27,6 @@ from mdvkit.operators import (
     Composition,
     ConvexCombination,
     Operator,
-    Regularity,
     SetProjector,
     flatten_to_affine,
 )
@@ -107,11 +106,10 @@ class _Bumped(Operator):
         out[..., 0] += self.bump(x)
         return out
 
+    is_averaged = False
+
     def _affine_pair(self):
         return np.eye(self.dim), np.zeros(self.dim)
-
-    def _regularity(self):
-        return Regularity.nonexpansive()
 
 
 def test_flatten_cross_check_sees_a_bump_that_vanishes_at_the_unit_probes():
@@ -217,7 +215,6 @@ def test_a_power_past_the_norm_slack_is_merely_nonexpansive():
     flat = flatten_to_affine(Composition([op] * 3))
     assert flat.norm > 1.0 + NORM_TOL  # compounded rounding past the constructor's slack
     assert not flat.is_averaged
-    assert flat.regularity() == Regularity.nonexpansive()
 
 
 def test_membership_in_displacement_range():
@@ -422,15 +419,15 @@ def test_extrapolation_counts_against_the_budget():
 
 def test_contractive_flatten_uses_residual_route():
     # orthogonal factor inside a strict contraction: not certified averaged,
-    # but the flattened matrix has norm < 1 so the residual route is sound
+    # but I - M is invertible, so the fixed-point proposal certifies v = 0
     theta = 0.7
     rot = AffineMap(np.array([[np.cos(theta), -np.sin(theta)],
                               [np.sin(theta), np.cos(theta)]]), [0.1, 0.0])
     shrink = AffineMap(0.9 * np.eye(2), [0.0, 0.2])
     comp = Composition([rot, shrink])
-    assert not comp.regularity().is_averaged
+    assert not comp.is_averaged
     est = displacement_iterative(comp, max_iter=10_000, tol=1e-10)
-    assert est.method == RESIDUAL_ITERATION and est.converged
+    assert est.method == RESIDUAL_ITERATION and est.converged and est.iterations == 1
     exact = displacement_exact_affine(comp)
     np.testing.assert_allclose(est.vector, exact.vector, atol=1e-8)
 
@@ -549,7 +546,7 @@ def _random_tree(rng, dim, depth, bounded, halfspaces):
 
 def _assert_cover_holds_displacements(rng, dim, bounded, halfspaces, cone_residual):
     # telescoping and weighted sums put x - Tx in the cover for every x,
-    # whatever the parts' regularity
+    # whether or not the parts are averaged
     T = _random_tree(rng, dim, 2, bounded, [halfspaces])
     cover = disp_mod._cover(T)
     if cover is None:

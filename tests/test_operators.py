@@ -1,4 +1,4 @@
-"""Operator variants: construction, regularity certificates, flattening."""
+"""Operator variants: construction, averagedness, flattening."""
 
 from functools import partial
 
@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from mdvkit.errors import NumericalError, ValidationError
 from mdvkit.operators import (
     ALPHA_CEILING,
-    ALPHA_FLOOR,
     NORM_TOL,
     AffineMap,
     Composition,
@@ -18,12 +17,10 @@ from mdvkit.operators import (
     GradientStep,
     MonotoneAffine,
     ReflectedResolvent,
-    Regularity,
     Resolvent,
     SetProjector,
     cocoercivity_modulus,
     flatten_to_affine,
-    minimal_averagedness,
     spectral_norm,
 )
 from mdvkit import operators as operators_mod
@@ -122,61 +119,27 @@ def test_composition_applies_first_part_first():
 # ---------------------------------------------------------------------------
 # averagedness
 
-
-@pytest.mark.parametrize(
-    "matrix, expected",
-    [
-        (np.zeros((2, 2)), 0.5),
-        (0.5 * np.eye(2), 0.25),
-    ],
-)
-def test_minimal_averagedness_known_values(matrix, expected):
-    alpha = minimal_averagedness(matrix)
-    assert alpha == pytest.approx(expected, abs=1e-8)
+_ALPHA_FLOOR = 1e-10
 
 
-def test_minimal_averagedness_identity_is_tiny():
-    alpha = minimal_averagedness(np.eye(3))
-    assert alpha is not None and alpha < 1e-5
+def _bisection_with_norm2(M):
+    """Smallest ``alpha`` writing ``M = (1-alpha) Id + alpha N`` with ``N``
+    nonexpansive within ``NORM_TOL``, by bisection to width 1e-10 on numpy's
+    ``norm(., 2)``; None when there is none below ``ALPHA_CEILING``.
 
-
-def test_minimal_averagedness_rejects_rotations():
-    # a proper rotation is nonexpansive but not averaged for any constant
-    assert minimal_averagedness(_rotation(np.pi / 4)) is None
-    assert minimal_averagedness(-np.eye(2)) is None
-
-
-def test_minimal_averagedness_rejects_expansive():
-    with pytest.raises(ValidationError):
-        minimal_averagedness(2.0 * np.eye(2))
-
-
-@given(st.integers(min_value=0, max_value=2**31 - 1))
-@settings(max_examples=60, deadline=None)
-def test_minimal_averagedness_certificate_is_sound(seed):
-    """Whenever a constant is returned, the implied map N is nonexpansive."""
-    rng = np.random.default_rng(seed)
-    raw = rng.standard_normal((3, 3))
-    M = raw * (0.9 / max(spectral_norm(raw), 1e-12))
-    alpha = minimal_averagedness(M)
-    assert alpha is not None  # strict contractions are always averaged
-    N = (M - (1.0 - alpha) * np.eye(3)) / alpha
-    assert spectral_norm(N) <= 1.0 + 1e-8
-    np.testing.assert_allclose((1.0 - alpha) * np.eye(3) + alpha * N, M, atol=1e-12)
-
-
-def _bisection_with_norm2(M, tol=NORM_TOL):
-    """``minimal_averagedness`` with numpy's ``norm(., 2)`` as its feasibility norm."""
+    The test-local reference for ``is_averaged``, and for the constants of the
+    composition and convex-combination rules.
+    """
     eye = np.eye(M.shape[0])
 
     def feasible(alpha):
-        return float(np.linalg.norm((M - (1.0 - alpha) * eye) / alpha, 2)) <= 1.0 + tol
+        return float(np.linalg.norm((M - (1.0 - alpha) * eye) / alpha, 2)) <= 1.0 + NORM_TOL
 
-    if feasible(ALPHA_FLOOR):
-        return ALPHA_FLOOR
+    if feasible(_ALPHA_FLOOR):
+        return _ALPHA_FLOOR
     if not feasible(ALPHA_CEILING):
         return None
-    lo, hi = ALPHA_FLOOR, ALPHA_CEILING
+    lo, hi = _ALPHA_FLOOR, ALPHA_CEILING
     while hi - lo > 1e-10:
         mid = 0.5 * (lo + hi)
         if feasible(mid):
@@ -186,45 +149,84 @@ def _bisection_with_norm2(M, tol=NORM_TOL):
     return hi
 
 
-@pytest.mark.parametrize("generator", [random_averaged_affine, random_structured_averaged])
-def test_minimal_averagedness_matches_norm2_bisection_bitwise(generator):
-    rng = np.random.default_rng(11)
-    for _ in range(40):
-        M = generator(rng, 5).M
-        assert minimal_averagedness(M) == _bisection_with_norm2(M)
+def _line_projector(angle):
+    """Projector onto the line through the origin at ``angle``: firmly nonexpansive, affine."""
+    direction = np.array([[np.cos(angle)], [np.sin(angle)]])
+    return SetProjector(AffineSet(AffineSubspace(np.zeros(2), direction)))
+
+
+@pytest.mark.parametrize(
+    "matrix, expected",
+    [
+        (np.zeros((2, 2)), 0.5),
+        (0.5 * np.eye(2), 0.25),
+    ],
+)
+def test_minimal_averagedness_known_values(matrix, expected):
+    alpha = _bisection_with_norm2(matrix)
+    assert alpha == pytest.approx(expected, abs=1e-8)
+    assert AffineMap(matrix, [0.0, 0.0]).is_averaged
+
+
+def test_minimal_averagedness_identity_is_tiny():
+    alpha = _bisection_with_norm2(np.eye(3))
+    assert alpha is not None and alpha < 1e-5
+    assert AffineMap.identity(3).is_averaged
+
+
+def test_minimal_averagedness_rejects_rotations():
+    # a proper rotation is nonexpansive but not averaged for any constant
+    for M in (_rotation(np.pi / 4), -np.eye(2)):
+        assert _bisection_with_norm2(M) is None
+        assert not AffineMap(M, [0.0, 0.0]).is_averaged
+
+
+def test_minimal_averagedness_rejects_expansive():
+    assert _bisection_with_norm2(2.0 * np.eye(2)) is None
+    with pytest.raises(ValidationError):
+        AffineMap(2.0 * np.eye(2), [0.0, 0.0])
+
+
+@given(st.integers(min_value=0, max_value=2**31 - 1))
+@settings(max_examples=60, deadline=None)
+def test_minimal_averagedness_certificate_is_sound(seed):
+    """Strict contractions are averaged, and the implied map N is nonexpansive."""
+    rng = np.random.default_rng(seed)
+    raw = rng.standard_normal((3, 3))
+    M = raw * (0.9 / max(spectral_norm(raw), 1e-12))
+    assert AffineMap(M, np.zeros(3)).is_averaged
+    for alpha in (_bisection_with_norm2(M), ALPHA_CEILING):
+        N = (M - (1.0 - alpha) * np.eye(3)) / alpha
+        assert spectral_norm(N) <= 1.0 + 1e-8
+        np.testing.assert_allclose((1.0 - alpha) * np.eye(3) + alpha * N, M, atol=1e-12)
 
 
 def test_regularity_fold_two_firmly_is_two_thirds():
-    p1 = SetProjector(Ball([0.0, 0.0], 1.0))
-    p2 = SetProjector(Ball([1.0, 0.0], 2.0))
-    reg = Composition([p1, p2]).regularity()
-    assert reg.is_averaged
-    assert reg.averagedness == pytest.approx(2.0 / 3.0)
+    # two firmly nonexpansive maps compose to a 2/3-averaged one
+    for angle in (0.3, 1.0, np.pi / 2):
+        comp = Composition([_line_projector(0.0), _line_projector(angle)])
+        assert comp.is_averaged
+        assert _bisection_with_norm2(flatten_to_affine(comp).M) <= 2.0 / 3.0 + 1e-8
 
 
 def test_regularity_composition_with_rotation_is_only_nonexpansive():
     rot = AffineMap(_rotation(1.0), [0.0, 0.0])
     proj = SetProjector(Ball([0.0, 0.0], 1.0))
-    reg = Composition([rot, proj]).regularity()
-    assert reg.kind == "nonexpansive" and not reg.is_averaged
+    assert proj.is_averaged and not rot.is_averaged
+    assert not Composition([rot, proj]).is_averaged
+    assert not ConvexCombination([0.5, 0.5], [rot, proj]).is_averaged
 
 
 def test_regularity_combination_weights_alphas():
-    p = SetProjector(Ball([0.0, 0.0], 1.0))  # alpha 1/2
+    # a convex combination is averaged with the weighted mean of its parts' constants
+    p = _line_projector(0.4)  # alpha 1/2
     g = GradientStep(np.diag([2.0, 0.5]), [0.0, 0.0], 0.5)  # alpha 1/2
     combo = ConvexCombination([0.5, 0.5], [p, g])
-    assert combo.regularity().averagedness == pytest.approx(0.5)
+    assert combo.is_averaged
+    assert _bisection_with_norm2(flatten_to_affine(combo).M) <= 0.5 + 1e-8
     both_firm = ConvexCombination([0.25, 0.75], [p, SetProjector(Singleton([0.0, 0.0]))])
-    assert both_firm.regularity().kind == "firmly"
-
-
-def test_regularity_classmethods():
-    assert Regularity.firmly().averagedness == 0.5
-    assert Regularity.nonexpansive().averagedness is None
-    with pytest.raises(ValidationError):
-        Regularity.averaged(1.0)
-    with pytest.raises(ValidationError):
-        Regularity.averaged(0.0)
+    assert both_firm.is_averaged
+    assert _bisection_with_norm2(flatten_to_affine(both_firm).M) <= 0.5 + 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +238,7 @@ def test_gradient_step_oracle():
     step = GradientStep(Q, [0.0, 0.0], 0.5)
     assert step.lipschitz == pytest.approx(2.0)
     np.testing.assert_allclose(step([1.0, 1.0]), [0.0, 0.75])
-    assert step.regularity().averagedness == pytest.approx(0.5)
+    assert step.is_averaged
 
 
 def test_gradient_step_validation():
@@ -252,7 +254,7 @@ def test_gradient_step_validation():
 def test_gradient_step_at_boundary_is_nonexpansive_only():
     Q = np.diag([2.0, 0.5])
     boundary = GradientStep(Q, [0.0, 0.0], 1.0)  # step * L = 2 exactly
-    assert boundary.regularity().kind == "nonexpansive"
+    assert not boundary.is_averaged
 
 
 def test_resolvent_oracle():
@@ -260,7 +262,7 @@ def test_resolvent_oracle():
     A = MonotoneAffine(np.diag([1.0, 3.0]), [1.0, -2.0])
     J = Resolvent(A)
     np.testing.assert_allclose(J([0.0, 0.0]), [-0.5, 0.5])
-    assert J.regularity().kind == "firmly"
+    assert J.is_averaged
     # resolvent identity: x = J(x) + Q J(x) + q for every x
     rng = np.random.default_rng(0)
     for _ in range(5):
@@ -281,10 +283,20 @@ def test_reflected_resolvent_is_exactly_two_j_minus_id():
 
 def test_reflected_resolvent_regularity_from_cocoercivity():
     A = MonotoneAffine(np.diag([2.0, 0.5]), [0.0, 0.0])  # mu = 1/2
-    reg = ReflectedResolvent(A).regularity()
-    assert reg.averagedness == pytest.approx(2.0 / 3.0)
+    R = ReflectedResolvent(A)
+    assert R.is_averaged
+    # averaged with constant 1 / (1 + mu) = 2/3
+    assert _bisection_with_norm2(flatten_to_affine(R).M) <= 2.0 / 3.0 + 1e-8
     skew = MonotoneAffine([[0.0, 1.0], [-1.0, 0.0]], [0.0, 0.0])  # mu = 0
-    assert ReflectedResolvent(skew).regularity().kind == "nonexpansive"
+    assert not ReflectedResolvent(skew).is_averaged
+
+
+def test_reflected_resolvent_with_a_tiny_modulus_is_averaged():
+    # mu is about 1e-17 > 0: averaged, although 1 / (1 + mu) rounds to 1
+    A = MonotoneAffine([[1e-9, 1e4], [-1e4, 1e-9]], [0.0, 0.0])
+    mu = cocoercivity_modulus(A)[0]
+    assert 0.0 < mu < np.finfo(float).eps and 1.0 / (1.0 + mu) == 1.0
+    assert ReflectedResolvent(A).is_averaged
 
 
 # ---------------------------------------------------------------------------
@@ -503,27 +515,27 @@ def test_affine_kind_agrees_with_minimal_averagedness(generator):
     for dim in (2, 3, 5, 8):
         for _ in range(10):
             op = generator(rng, dim)
-            assert op.is_averaged == (minimal_averagedness(op.M) is not None)
+            assert op.is_averaged == (_bisection_with_norm2(op.M) is not None)
 
 
 def test_affine_kind_sees_both_answers():
     rng = np.random.default_rng(32)
     assert random_averaged_affine(rng, 5, norm=0.5).is_averaged
     assert not random_merely_nonexpansive_affine(rng, 5).is_averaged
-    assert AffineMap.identity(3).is_averaged  # the ALPHA_FLOOR case
+    assert AffineMap.identity(3).is_averaged  # averaged at the reference's floor
 
 
 def test_affine_regularity_at_the_norm_slack_never_raises():
     # ulp scalings of a symmetric map with norm about 1 + NORM_TOL, collapsed
     # as flatten_to_affine collapses a tree. With OpenBLAS on x86-64 the k = 0
     # one is averaged at ALPHA_CEILING while its own SVD puts the norm 4.5e-16
-    # past 1 + NORM_TOL, where minimal_averagedness raises ValidationError
+    # past 1 + NORM_TOL, where a norm check would refuse it
     M = np.array([[0.20735221666006265, -0.12318033400439406, 0.26019364981151166],
                   [-0.12318033400439406, 0.20474675355549046, -0.34706670104399395],
                   [0.26019364981151166, -0.34706670104399395, 0.7211146454282238]])
     for k in range(-8, 9):
         flat = AffineMap._collapsed(M * (1.0 + k * np.finfo(float).eps), np.zeros(3))
-        assert flat.regularity().is_averaged == flat.is_averaged
+        assert flat.is_averaged == (_bisection_with_norm2(flat.M) is not None)
 
 
 def _random_tree(rng, depth):
@@ -548,31 +560,27 @@ def _random_tree(rng, depth):
     return ConvexCombination(weights / weights.sum(), parts)
 
 
-def _kind_from_leaf_certificates(op):
-    """Averaged iff every leaf's full certificate (the bisection for affine leaves) says so."""
-    if isinstance(op, (Composition, ConvexCombination)):
-        return all(_kind_from_leaf_certificates(p) for p in op.parts)
-    return op.regularity().is_averaged
-
-
 @given(st.integers(min_value=0, max_value=2**31 - 1))
 @settings(max_examples=60, deadline=None)
 def test_tree_kind_agrees_with_its_regularity(seed):
+    # sound: a tree that calls itself averaged flattens, when it does, to a
+    # map that the reference finds averaged
     tree = _random_tree(np.random.default_rng(seed), 3)
-    kind = tree.is_averaged  # decided before any certificate is computed
-    assert kind == _kind_from_leaf_certificates(tree)
-    reg = tree.regularity()
-    assert reg.is_averaged == kind
     flat = flatten_to_affine(tree)
-    if kind and flat is not None:  # the combinator constant is a valid certificate
-        assert minimal_averagedness(flat.M) <= reg.averagedness + 1e-8
+    if tree.is_averaged and flat is not None:
+        assert _bisection_with_norm2(flat.M) is not None
 
 
 def test_builtin_suite_never_runs_the_averagedness_bisection(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("minimal_averagedness called on the hot path")
+    # one SVD per affine map, at ALPHA_CEILING, decides averagedness
+    averaged_at = operators_mod._averaged_at
+    alphas = []
 
-    monkeypatch.setattr(operators_mod, "minimal_averagedness", refuse)
-    monkeypatch.setattr(operators_mod, "_bisect_averagedness", refuse)
+    def recorded(M, alpha):
+        alphas.append(alpha)
+        return averaged_at(M, alpha)
+
+    monkeypatch.setattr(operators_mod, "_averaged_at", recorded)
     reports = builtin_suite(randomized_count=6, cyclic_count=2, cocoercive_count=2)
     assert reports
+    assert alphas and set(alphas) == {ALPHA_CEILING}
