@@ -8,16 +8,16 @@ residual ``x_n - T x_n`` of a fixed-point iteration estimates the vector.
 Averaged maps iterate ``T`` itself.  Merely nonexpansive ones iterate the
 Krasnosel'skii-Mann relaxation ``(Id + T) / 2``, which is averaged and whose
 minimal displacement vector is half that of ``T`` (Baillon-Bruck-Reich 1978).
-An affine ``T`` whose ``I - M`` is invertible (so its vector is 0) first gets
-its fixed point from one LU solve as a proposal; otherwise, when the
-relaxation is affine, restarted reduced-rank extrapolation (RRE; Sidi,
-*Vector Extrapolation Methods*, 2017) proposes restart points along the way.
-The iteration stops once a residual is certified within ``tol`` of the vector
-by the range calculus of compositions and convex combinations.
+An affine ``T`` is first offered exact proposals: its fixed point from one LU
+solve, and failing that a point whose displacement is the vector itself, from
+one SVD that decides the rank as the exact route does.  The iteration stops
+once a residual is certified within ``tol`` of the vector by the range
+calculus of compositions and convex combinations.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, UnsupportedOperatorError, ValidationError
-from .numeric import AffineSubspace, as_vector, orthonormal_range_basis
+from .numeric import AffineSubspace, _rank, as_vector, orthonormal_range_basis
 from .operators import Cover, Operator, flatten_to_affine
 
 EXACT_AFFINE = "exact_affine"
@@ -42,13 +42,6 @@ _FINITE_CHECK_EVERY = 128
 _STALL_PATIENCE = 64
 # Krasnosel'skii-Mann step for maps not certified averaged.
 _KM_STEP = 0.5
-# Restarted RRE: dim + 3 steps span the Krylov space of an affine map's
-# residuals, but in floating point the power basis loses about a third of its
-# rank at dim 50, so a cycle is twice that.  The floor is both the spread below
-# which a cycle holds only rounding and the absolute singular-value cutoff of
-# its least-squares solve.
-_RRE_MAX_CYCLE = 120
-_RRE_FLOOR = 1e-12
 # Certified exit: rounding of a computed vector of norm s is taken as at most
 # _ROUNDING * dim * eps * s; a cover ray whose part outside the cover's span
 # is below _RAY_IN_SPAN of its length is not trusted to define the cover point.
@@ -105,7 +98,8 @@ def displacement_range_affine(T: Operator) -> AffineSubspace:
     The displacement map of ``x -> Mx + b`` is ``x -> (I - M) x - b``, so the
     range is the column space of ``I - M`` through the point ``-b``.  One SVD
     of ``I - M``, cached on the operator, is the exact route's only rank
-    decision; :func:`flatten_to_affine` already cross-checked ``(M, b)``.
+    decision (the iterative route ranks by the same rule);
+    :func:`flatten_to_affine` already cross-checked ``(M, b)``.
     """
     cached = getattr(T, "_range_cache", None)
     if cached is not None:
@@ -141,15 +135,12 @@ def displacement_iterative(
     Averaged operators iterate ``T``: the residual ``x_n - T x_n`` converges
     to the minimal displacement vector.  Other operators iterate the averaged
     ``T_half = (Id + T) / 2``, whose vector is half of ``T``'s, and report its
-    residual doubled.  When ``T`` flattens to ``x -> Mx + b``, the fixed
-    point of ``T_half`` (``solve(I - M, b)``, one LU factorization) is
-    proposed first unless ``I - M`` is singular: its evaluated residual is
-    offered to the bounds below when ``|e| <= tol`` and the run returns it
-    if certified, else drops it, which certifies a strict contraction in one
-    evaluation.  When ``T_half`` is affine, restarted RRE also proposes a
-    restart point every ``min(2 (dim + 3), 120)`` steps, kept only if its
-    evaluated residual is smaller.  Each evaluated proposal counts as one
-    iteration.  On quiet steps
+    residual doubled.  When ``T`` flattens to ``x -> Mx + b``, up to two
+    points are proposed first, one iteration each: the LU-solved fixed point
+    of ``T_half``, then ``V_k S_k^-1 U_k^T b`` from one SVD of ``I - M``
+    ranked as on the exact route, whose displacement is that route's ``v``.
+    A proposal that the bounds below certify ends the run; otherwise the run
+    iterates from ``x0``.  On quiet steps
     (successive estimates within ``tol``) the run stops with ``error_bound``
     set once ``|e|``, else ``|e - v|`` (flattenable ``T``), else
     ``sqrt(|e|^2 - |p|^2)`` (``p`` the cover point), each with an allowance
@@ -176,42 +167,42 @@ def displacement_iterative(
     _check_budget(max_iter, tol)
     x = np.zeros(T.dim) if x0 is None else as_vector(x0, T.dim).copy()
 
+    spent = 0  # iterations spent on proposals
     flat = flatten_to_affine(T)
     if flat is None:
         step = T._apply
+        bound = _error_bound(T.dim, tol, lambda: _cover_point(T), exact=False)
+
+        def relaxed(v):
+            return v + _KM_STEP * (step(v) - v)
     else:
         M, b = flat.M, flat.b
+        M_h = (1.0 - _KM_STEP) * np.eye(T.dim) + _KM_STEP * M
+        b_h = _KM_STEP * b
 
         def step(v):
             return M @ v + b
 
-    bound = _error_bound(T, flat, tol)
-    spent = 0  # iterations spent on the fixed-point proposal
-    if flat is None:
-        def relaxed(v):
-            return v + _KM_STEP * (step(v) - v)
-    else:
-        M_h = (1.0 - _KM_STEP) * np.eye(T.dim) + _KM_STEP * M
-        b_h = _KM_STEP * b
-
         def relaxed(v):
             return M_h @ v + b_h
 
-        if (x_hat := _fixed_point(M_h, b_h)) is not None:
-            spent = 1
+        solved = functools.cache(lambda: _range_point(M, b))  # the one SVD of I - M
+        bound = _error_bound(T.dim, tol, lambda: (solved()[1], _norm(b)), exact=True)
+        for propose in (lambda: _fixed_point(M_h, b_h), lambda: solved()[0]):
+            if spent == max_iter:
+                break
+            if (x_hat := propose()) is None:
+                continue
+            spent += 1
             tx_hat = relaxed(x_hat)
             r_hat = x_hat - tx_hat
-            # |e| <= tol first, so that a rejected proposal never pays for
-            # the cover point's SVD
-            if (_norm(r_hat) <= _KM_STEP * tol
-                    and (err := bound(r_hat, x_hat, tx_hat, _KM_STEP)) <= tol):
+            if (err := bound(r_hat, x_hat, tx_hat, _KM_STEP)) <= tol:
                 residual = _norm(r_hat - (x - relaxed(x))) / _KM_STEP
                 return DisplacementEstimate(r_hat / _KM_STEP, residual, spent,
                                             RESIDUAL_ITERATION, True, err)
     if T.is_averaged:
         return _residual_iteration(step, x, max_iter, tol, bound, spent=spent)
-    cycle = None if flat is None else min(2 * (T.dim + 3), _RRE_MAX_CYCLE)
-    return _residual_iteration(relaxed, x, max_iter, tol, bound, _KM_STEP, cycle, spent)
+    return _residual_iteration(relaxed, x, max_iter, tol, bound, _KM_STEP, spent)
 
 
 def _is_integer(n) -> bool:
@@ -260,10 +251,11 @@ def _cover_point(T: Operator):
     return base, _norm(cover.base)
 
 
-def _error_bound(T: Operator, flat, tol):
+def _error_bound(dim: int, tol, point, exact: bool):
     """``bound(est, x, tx, scale) >= |e - v|`` for the estimate ``e = est /
-    scale`` of a residual ``x - tx``, or inf; ``p`` (``= v`` for flattenable
-    ``T``) is computed once, when ``|e|`` first fails.
+    scale`` of a residual ``x - tx``, or inf; ``point()`` gives ``(p, |base|)``
+    of the cover (``p = v`` when ``exact``) or None, and is called once, when
+    ``|e|`` first fails.
 
     The exact residual lies in ``cl ran(Id - T)``; ``e`` may be off it by
     ``de = gamma (|x| + |tx|) / scale`` and ``p`` off by ``dp = gamma (|p| +
@@ -272,7 +264,7 @@ def _error_bound(T: Operator, flat, tol):
     which puts ``2 (|p| dp + |e| de)`` under the square root; once ``2 |p|
     dp`` alone exceeds ``tol^2`` the run stops trying.
     """
-    gamma = _ROUNDING * T.dim * np.finfo(float).eps
+    gamma = _ROUNDING * dim * np.finfo(float).eps
     stage, p, norm_p, dp = "pending", None, 0.0, 0.0
 
     def bound(est, x, tx, scale):
@@ -285,17 +277,17 @@ def _error_bound(T: Operator, flat, tol):
             return err + 2.0 * de
         if stage == "pending":
             stage = "ready"
-            if (point := _cover_point(T)) is not None:
-                p, base_size = point
+            if (found := point()) is not None:
+                p, base_size = found
                 norm_p = _norm(p)
                 dp = gamma * (norm_p + base_size)
-                if flat is None and 2.0 * norm_p * dp > tol * tol:
+                if not exact and 2.0 * norm_p * dp > tol * tol:
                     stage = "hopeless"
                     return math.inf
         if p is None:
             return err + 2.0 * de
         d = e - p
-        if flat is not None:  # p is v
+        if exact:  # p is v
             return _norm(d) + dp
         # |e* - v|^2 <= |e*|^2 - |v|^2 <= |e*|^2 - |p|^2, and |e|^2 - |p|^2 = |d|^2 + 2 <d, p>
         q = d @ d + 2.0 * (d @ p) + 2.0 * (norm_p * dp + err * de) + de * de
@@ -314,35 +306,32 @@ def _fixed_point(M, b):
     return x if np.isfinite(x).all() else None
 
 
-def _residual_iteration(step, x, max_iter, tol, bound, scale=1.0, cycle=None,
+def _range_point(M, b):
+    """``(x, v)`` from one SVD of ``I - M`` ranked by the exact route's rule:
+    the vector ``v = -b + U_k U_k^T b`` of ``x -> Mx + b``, and ``x = V_k
+    S_k^-1 U_k^T b``, whose displacement ``(I - M) x - b`` is ``v``."""
+    u, s, vt = np.linalg.svd(np.eye(b.size) - M, full_matrices=False)
+    k = _rank(s, floor=_RANGE_FLOOR * b.size)
+    c = u[:, :k].T @ b
+    return vt[:k].T @ (c / s[:k]), u[:, :k] @ c - b
+
+
+def _residual_iteration(step, x, max_iter, tol, bound, scale=1.0,
                         spent=0) -> DisplacementEstimate:
     """Iterate ``step`` and estimate by its residual divided by ``scale``,
-    certified by ``bound`` on quiet steps; with ``cycle`` (affine ``step``
-    only), propose a restart point every ``cycle`` steps.  ``spent``
-    iterations of ``max_iter`` are already used."""
+    certified by ``bound`` on quiet steps; ``spent`` iterations of
+    ``max_iter`` are already used."""
     tx = step(x)
     est = x - tx
     residual = math.inf
     converged = False
     iterations = spent
     stall = 0
-    xs, rs = [x], [est]
     while iterations < max_iter:
         x = tx
         tx = step(x)
         new_est = x - tx
         iterations += 1
-        if cycle is not None:
-            xs.append(x)
-            rs.append(new_est)
-            if len(xs) > cycle:
-                if iterations < max_iter and (x_hat := _rre_point(xs, rs)) is not None:
-                    iterations += 1
-                    tx_hat = step(x_hat)
-                    r_hat = x_hat - tx_hat
-                    if np.isfinite(r_hat).all() and _norm(r_hat) < _norm(new_est):
-                        x, tx, new_est = x_hat, tx_hat, r_hat
-                xs, rs = [x], [new_est]
         residual = _norm(new_est - est) / scale
         est = new_est
         stall = stall + 1 if residual <= tol else 0
@@ -359,26 +348,6 @@ def _residual_iteration(step, x, max_iter, tol, bound, scale=1.0, cycle=None,
 
 def _norm(v: np.ndarray) -> float:
     return math.sqrt(v @ v)  # np.linalg.norm of a 1-d vector, bit for bit
-
-
-def _rre_point(xs, rs):
-    """Restarted RRE point of one cycle's iterates ``xs`` and residuals ``rs``.
-
-    Solves ``min_c |r_0 + sum_j c_j (r_j - r_0)|`` and returns
-    ``x_0 + sum_j c_j (x_j - x_0)``, or ``None`` when the cycle holds only
-    rounding.
-    """
-    r0 = rs[0]
-    diffs = (np.array(rs[1:]) - r0).T
-    floor = _RRE_FLOOR * max(1.0, float(np.linalg.norm(r0)))
-    # Residuals that stopped moving are rounding noise; a relative cutoff
-    # would invert it and throw the point out to ~1e16.
-    if np.max(np.abs(diffs)) <= floor:
-        return None
-    u, s, vt = np.linalg.svd(diffs, full_matrices=False)
-    keep = s > floor
-    coef = vt[keep].T @ ((u[:, keep].T @ -r0) / s[keep])
-    return xs[0] + (np.array(xs[1:]) - xs[0]).T @ coef
 
 
 def minimal_displacement(

@@ -66,10 +66,13 @@ def orthonormal_range_basis(M, tol: float = DEFAULT_RANK_TOL,
     if M.shape[1] == 0:
         return np.zeros((rows, 0))
     u, s, _ = np.linalg.svd(M, full_matrices=False)
-    if s.size == 0 or s[0] <= floor:
-        return np.zeros((rows, 0))
-    rank = int(np.count_nonzero(s > max(tol * s[0], floor)))
-    return u[:, :rank].copy()
+    return u[:, :_rank(s, tol, floor)].copy()
+
+
+def _rank(s: np.ndarray, tol: float = DEFAULT_RANK_TOL, floor: float = 0.0) -> int:
+    """How many of the descending singular values ``s`` (at least one) pass
+    both cutoffs of :func:`orthonormal_range_basis`."""
+    return int(np.count_nonzero(s > max(tol * s[0], floor)))
 
 
 class AffineSubspace:

@@ -15,6 +15,8 @@ import csv
 import io
 import json
 import os
+import re
+import threading
 import uuid
 from dataclasses import dataclass, field
 from functools import partial
@@ -179,12 +181,26 @@ class _Kind(NamedTuple):
     read: Callable | None = None
 
 
+#: Deepest nesting of grammar entries (operators, their sets and monotone maps):
+#: parsing and every walk over the built tree stay inside the recursion limit.
+MAX_NESTING = 64
+
+_nesting = threading.local()
+
+
 def _build(spec: _Kind, node, path: str, dim):
     """Parse one entry's body and construct it; constructor errors get ``path``."""
+    depth = getattr(_nesting, "depth", 0)
+    if depth == MAX_NESTING:
+        _fail(path, f"nested deeper than {MAX_NESTING} levels")
     whole = callable(spec.fields)
     if not whole and not isinstance(node, dict):
         _fail(path, f"expected an object with {', '.join(spec.fields)}")
-    args = [spec.fields(node, path, dim)] if whole else _fields(spec.fields, node, path, dim)
+    _nesting.depth = depth + 1
+    try:
+        args = [spec.fields(node, path, dim)] if whole else _fields(spec.fields, node, path, dim)
+    finally:
+        _nesting.depth = depth
     try:
         return (spec.build or spec.cls)(*args)
     except ValidationError as exc:
@@ -485,7 +501,7 @@ def write_atomic(path: str, text: str) -> None:
 
 def load_report(path: str) -> dict:
     """A saved report of a known kind whose rows (``checks`` or ``estimates``) are
-    objects, and whose flags, where present, are true or false."""
+    objects whose typed fields, where present, hold what mdvkit writes there."""
     payload = _read_json(path, "report")
     version = payload.get("schema_version") if isinstance(payload, dict) else None
     if type(version) is not int or version != SCHEMA_VERSION:  # true and 1.0 both equal 1
@@ -497,14 +513,25 @@ def load_report(path: str) -> dict:
     for i, row in enumerate(rows):
         if not isinstance(row, dict):
             _fail(f"{path}: {rows_key}[{i}]", "expected an object")
-        for key in row.keys() & _FLAGS:
-            if not isinstance(row[key], bool):
-                _fail(f"{path}: {rows_key}[{i}].{key}", "expected true or false")
+        for key, (valid, what) in _ROW_FIELDS.items():
+            if key in row and not valid(row[key]):
+                _fail(f"{path}: {rows_key}[{i}].{key}", f"expected {what}")
     return payload
 
 
 #: Boolean row fields; the CSV prints them as true/false (empty when absent).
-_FLAGS = frozenset({"pass", "converged", "hypothesis_met"})
+_FLAGS = ("pass", "converged", "hypothesis_met")
+#: A number as :func:`fmt_float` writes it.
+_DECIMAL = re.compile(r"[+-]?(?:(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?|inf)|nan")
+
+#: Typed row fields -> (test, what the error says was expected).
+_ROW_FIELDS = {
+    **dict.fromkeys(_FLAGS, (lambda v: isinstance(v, bool), "true or false")),
+    **dict.fromkeys(("check_name", "label", "method"), (lambda v: isinstance(v, str), "a string")),
+    **dict.fromkeys(("discrepancy", "tolerance", "residual", "norm"),
+                    (lambda v: isinstance(v, str) and _DECIMAL.fullmatch(v) is not None,
+                     "a decimal string")),
+}
 
 #: Report kind -> (rows key, CSV columns).
 _CSV = {

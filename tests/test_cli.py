@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from mdvkit import cli, verify
+from mdvkit import scenario as scn_mod
 from mdvkit.cli import (
     EXIT_CHECK_FAILED,
     EXIT_INVALID,
@@ -146,6 +147,21 @@ def test_out_into_a_missing_directory_exits_two(command, tmp_path, capsys):
          "checks[0].pass: expected true or false"),
         ("verify", "checks", [{"check_name": "x", "pass": True, "hypothesis_met": 1}],
          "checks[0].hypothesis_met: expected true or false"),
+        ("estimate", "estimates", [{"label": [1, {"a": 2}]}], "estimates[0].label: expected a string"),
+        ("estimate", "estimates", [{"label": "x", "method": None}],
+         "estimates[0].method: expected a string"),
+        ("verify", "checks", [{"check_name": 5}], "checks[0].check_name: expected a string"),
+        # mdvkit writes every number as a decimal string, and never null
+        ("estimate", "estimates", [{"label": "x", "norm": float("nan")}],
+         "estimates[0].norm: expected a decimal string"),
+        ("estimate", "estimates", [{"label": "x", "residual": None}],
+         "estimates[0].residual: expected a decimal string"),
+        ("estimate", "estimates", [{"label": "x", "norm": "1_000"}],
+         "estimates[0].norm: expected a decimal string"),
+        ("verify", "checks", [{"check_name": "x", "discrepancy": 0.5}],
+         "checks[0].discrepancy: expected a decimal string"),
+        ("verify", "checks", [{"check_name": "x", "tolerance": "Infinity"}],
+         "checks[0].tolerance: expected a decimal string"),
         # a rows key of "schema_version" overrides the valid version 1
         ("verify", "schema_version", True, "not a schema_version=1 report"),
         ("verify", "schema_version", 1.0, "not a schema_version=1 report"),
@@ -159,6 +175,15 @@ def test_malformed_report_rows_exit_two_with_their_path(kind, rows_key, rows, me
                                 rows_key: rows, "summary": {}}))
     assert main(["report", str(path), "--format", fmt]) == EXIT_INVALID
     assert f"error: {path}: {message}" in capsys.readouterr().err
+
+
+def test_report_rows_load_every_number_mdvkit_writes(tmp_path, capsys):
+    rows = [{"label": "x", "method": "m", "residual": text, "norm": "-0"}
+            for text in ("inf", "nan", "1e-08", "-1.5e+300", "0.10000000000000001", "12")]
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps({"schema_version": 1, "kind": "estimate", "estimates": rows}))
+    assert main(["report", str(path)]) == EXIT_OK
+    assert capsys.readouterr().out.splitlines()[1:3] == ["x,m,,,inf,-0", "x,m,,,nan,-0"]
 
 
 def test_builtin_suite_deterministic(tmp_path):
@@ -237,6 +262,54 @@ def test_unreadable_json_exits_two_naming_the_file(command, content, message, tm
     p.write_bytes(content)
     assert main([command, str(p)]) == EXIT_INVALID
     assert capsys.readouterr().err.startswith(f"error: {p}: {message}")
+
+
+def _nested(leaf, levels, kind):
+    """``leaf`` wrapped in ``levels`` one-part ``compose`` or ``combo`` nodes."""
+    for _ in range(levels):
+        leaf = {"compose": [leaf]} if kind == "compose" else {
+            "combo": {"weights": [1.0], "parts": [leaf]}}
+    return leaf
+
+
+def _deep_scenario(extra):
+    """Trees exactly ``MAX_NESTING`` entries deep, or ``extra`` levels deeper."""
+    depth = scn_mod.MAX_NESTING + extra
+    shift = {"affine": {"M": [[0.5, 0.0], [0.0, 0.5]], "b": [1.0, 0.0]}}
+    turn = {"affine": {"M": [[0.0, -1.0], [1.0, 0.0]], "b": [0.0, 0.2]}}
+    ball = {"projector": {"ball": {"center": [0.0, 0.0], "radius": 1.0}}}  # two entries
+    return {"name": "deep", "dim": 2, "operators": [
+        _nested(shift, depth - 1, "compose"), _nested(turn, depth - 1, "combo"),
+        _nested(ball, depth - 2, "compose")], "checks": [
+        {"name": "range_formula_composition", "ops": [0, 1]},
+        {"name": "norm_bound_composition", "ops": [1, 0]},
+        {"name": "convex_combination", "ops": [0, 1], "weights": [0.5, 0.5]},
+        {"name": "cyclic_norm", "ops": [0, 2]}]}
+
+
+def test_a_tree_at_the_nesting_limit_runs_every_command(tmp_path, capsys):
+    scn = _dump(tmp_path, _deep_scenario(0))
+    for command in ("estimate", "verify"):
+        out = str(tmp_path / f"{command}.json")
+        assert main([command, scn, "--out", out]) == EXIT_OK
+        for fmt in ("csv", "json"):
+            assert main(["report", out, "--format", fmt]) == EXIT_OK
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("op, path", [
+    (0, "operators[0]" + ".compose[0]" * scn_mod.MAX_NESTING + ".affine"),
+    (1, "operators[1]" + ".combo.parts[0]" * scn_mod.MAX_NESTING + ".affine"),
+    (2, "operators[2]" + ".compose[0]" * (scn_mod.MAX_NESTING - 1) + ".projector.ball"),
+])
+@pytest.mark.parametrize("command", ["estimate", "verify"])
+def test_one_level_past_the_nesting_limit_exits_two_naming_the_node(op, path, command,
+                                                                      tmp_path, capsys):
+    scn = _deep_scenario(0)
+    scn["operators"][op] = _deep_scenario(1)["operators"][op]
+    assert main([command, _dump(tmp_path, scn)]) == EXIT_INVALID
+    message = f"nested deeper than {scn_mod.MAX_NESTING} levels"
+    assert capsys.readouterr().err == f"error: scenario.{path}: {message}\n"
 
 
 def test_reflected_resolvent_with_a_tiny_modulus_estimates(tmp_path, capsys):

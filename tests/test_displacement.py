@@ -171,9 +171,7 @@ def test_range_is_computed_once_per_operator(monkeypatch):
     np.testing.assert_array_equal(fresh.basis, first.basis)
 
 
-def test_exact_route_factorizes_once(monkeypatch):
-    op = Composition([_reflection([0.5, 0.5, 0.0]), AffineMap(0.5 * np.eye(3), np.ones(3)),
-                      AffineMap.translation([0.1, 0.2, 0.3])])
+def _count_svds(monkeypatch):
     calls = []
     svd = np.linalg.svd
 
@@ -182,6 +180,13 @@ def test_exact_route_factorizes_once(monkeypatch):
         return svd(*args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", counted)
+    return calls
+
+
+def test_exact_route_factorizes_once(monkeypatch):
+    op = Composition([_reflection([0.5, 0.5, 0.0]), AffineMap(0.5 * np.eye(3), np.ones(3)),
+                      AffineMap.translation([0.1, 0.2, 0.3])])
+    calls = _count_svds(monkeypatch)
     displacement_exact_affine(op)
     assert len(calls) == 1  # the range basis; the collapsed map is not re-validated
     flat = flatten_to_affine(op)
@@ -346,18 +351,16 @@ def test_relaxed_orthogonal_compositions_match_exact(seed):
         comp = Composition(parts)
         est = displacement_iterative(comp, max_iter=20_000, tol=1e-7)
         assert est.method == RESIDUAL_ITERATION and est.converged
+        # singular or not, I - M is settled by the LU or the SVD proposal
+        assert est.iterations <= 2 and est.error_bound <= 1e-12
         exact = displacement_exact_affine(comp)
-        assert np.linalg.norm(est.vector - exact.vector) <= 1e-8
-        if est.error_bound is not None:
-            assert np.linalg.norm(est.vector - exact.vector) <= est.error_bound
-        if displacement_range_affine(comp).rank == dim:  # I - M invertible
-            assert est.iterations <= 2  # the fixed-point proposal
+        assert np.linalg.norm(est.vector - exact.vector) <= est.error_bound
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_relaxed_dim_50_turn_with_a_near_identity_block_converges(seed):
-    # one 2x2 block turns by 0.0025 rad, which RRE cycles of only dim + 3
-    # steps do not resolve (capped up to 0.08 off); the answer is 0
+    # one 2x2 block turns by 0.0025 rad, so the KM iteration alone is slow;
+    # I - M is invertible and the answer is 0
     rng = np.random.default_rng(seed)
     block = np.zeros((50, 50))
     for i, theta in enumerate(np.concatenate([[0.0025], rng.uniform(0.05, 3.0, 24)])):
@@ -390,7 +393,42 @@ def test_near_singular_fixed_point_proposal_is_refused_or_certified_truthfully()
             assert np.linalg.norm(est.vector - exact) <= est.error_bound <= 1e-7
 
 
-def test_extrapolation_counts_against_the_budget():
+def _flat_leaf(rng, dim):
+    kind = int(rng.integers(3))
+    if kind == 0:
+        return AffineMap(_orthogonal(rng, dim), 0.2 * rng.standard_normal(dim))
+    if kind == 1:
+        basis = np.linalg.qr(rng.standard_normal((dim, int(rng.integers(1, dim)))))[0]
+        return SetProjector(AffineSet(AffineSubspace(rng.standard_normal(dim), basis)))
+    return AffineMap.translation(rng.standard_normal(dim))
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), dim=st.integers(2, 8), parts=st.integers(1, 4))
+def test_flattenable_compositions_are_certified_by_a_proposal(seed, dim, parts):
+    rng = np.random.default_rng(seed)
+    comp = Composition([_flat_leaf(rng, dim) for _ in range(parts)])
+    est = displacement_iterative(comp, max_iter=20_000, tol=1e-7)
+    assert est.converged and est.iterations <= 2
+    exact = displacement_exact_affine(comp).vector
+    assert np.linalg.norm(est.vector - exact) <= est.error_bound <= 1e-7
+
+
+def _turn_about_e3_after_a_shift(turned=False):
+    """A turn about ``e3`` after the shift (0.1, 0.2, 0.3), so ``v = (0, 0,
+    -0.3)`` and ``I - M`` has an exact zero row; ``turned``, the same map in a
+    fixed random basis, where ``I - M`` is singular only up to rounding and
+    its LU solve gives a point about 1e15 out."""
+    basis = _orthogonal(np.random.default_rng(0), 3) if turned else np.eye(3)
+    theta = 1.0
+    turn = np.array([[np.cos(theta), -np.sin(theta), 0.0],
+                     [np.sin(theta), np.cos(theta), 0.0],
+                     [0.0, 0.0, 1.0]])
+    return Composition([AffineMap(basis @ turn @ basis.T, np.zeros(3)),
+                        AffineMap.translation(basis @ [0.1, 0.2, 0.3])])
+
+
+def test_proposals_count_against_the_budget():
     # I - M invertible: the fixed-point proposal is the first iteration
     rng = np.random.default_rng(7)
     comp = Composition([AffineMap(_orthogonal(rng, 3), 0.2 * rng.standard_normal(3))
@@ -399,22 +437,44 @@ def test_extrapolation_counts_against_the_budget():
     est = displacement_iterative(comp, max_iter=1, tol=1e-7)
     assert est.iterations == 1 and est.converged and est.error_bound <= 1e-7
     assert np.linalg.norm(est.vector - exact) <= min(1e-8, est.error_bound)
-    # a turn about e3 after a shift along it: I - M has an exact zero row, so
-    # there is no fixed-point proposal, and v = (0, 0, -0.3); in dim 3 a cycle
-    # is 12 KM steps, and its RRE proposal is the 13th iteration
-    theta = 1.0
-    turn = np.array([[np.cos(theta), -np.sin(theta), 0.0],
-                     [np.sin(theta), np.cos(theta), 0.0],
-                     [0.0, 0.0, 1.0]])
-    comp = Composition([AffineMap(turn, np.zeros(3)), AffineMap.translation([0.1, 0.2, 0.3])])
+    # I - M has an exact zero row, so LU gives no point and the SVD point is
+    # the first iteration
+    comp = _turn_about_e3_after_a_shift()
     exact = displacement_exact_affine(comp).vector
     np.testing.assert_allclose(exact, [0.0, 0.0, -0.3], atol=1e-15)
-    short = displacement_iterative(comp, max_iter=12, tol=1e-7)
-    assert short.iterations == 12 and np.linalg.norm(short.vector - exact) > 1e-3
-    proposed = displacement_iterative(comp, max_iter=13, tol=1e-7)
-    assert proposed.iterations == 13 and np.linalg.norm(proposed.vector - exact) <= 1e-8
-    for budget in (50, 71, 200):
-        assert displacement_iterative(comp, max_iter=budget, tol=1e-7).iterations <= budget
+    est = displacement_iterative(comp, max_iter=1, tol=1e-7)
+    assert est.iterations == 1 and est.converged
+    assert np.linalg.norm(est.vector - exact) <= min(1e-8, est.error_bound)
+    # turned, the LU point is refused and the SVD point is the second iteration
+    comp = _turn_about_e3_after_a_shift(turned=True)
+    exact = displacement_exact_affine(comp).vector
+    refused = displacement_iterative(comp, max_iter=1, tol=1e-7)
+    assert refused.iterations == 1 and not refused.converged and refused.error_bound is None
+    for budget in (2, 3, 50):
+        est = displacement_iterative(comp, max_iter=budget, tol=1e-7)
+        assert est.iterations == 2 and est.converged
+        assert np.linalg.norm(est.vector - exact) <= min(1e-8, est.error_bound)
+
+
+def test_a_refused_fixed_point_costs_one_svd(monkeypatch):
+    rng = np.random.default_rng(3)
+    invertible = Composition([AffineMap(_orthogonal(rng, 4), rng.standard_normal(4))
+                              for _ in range(2)])
+    singular = _turn_about_e3_after_a_shift(turned=True)
+    for comp in (invertible, singular):  # flattening and averagedness are cached
+        assert flatten_to_affine(comp) is not None and not comp.is_averaged
+    calls = _count_svds(monkeypatch)
+    assert displacement_iterative(invertible, tol=1e-7).iterations == 1
+    assert len(calls) == 0  # the LU point is certified by |e| alone
+    for max_iter in (2, 20_000):
+        est = displacement_iterative(singular, max_iter=max_iter, tol=1e-7)
+        assert est.iterations == 2 and est.converged
+    assert len(calls) == 2  # one per run: the point, its vector and the bound
+    # below rounding nothing certifies: both points are refused, and the run
+    # iterates to its cap on the same one SVD
+    est = displacement_iterative(singular, max_iter=50, tol=1e-20)
+    assert est.iterations == 50 and not est.converged
+    assert len(calls) == 3
 
 
 def test_contractive_flatten_uses_residual_route():
