@@ -3,16 +3,16 @@
 The minimal displacement vector of ``T`` is the projection of the origin onto
 the closure of the range of ``Id - T``; its norm measures how inconsistent the
 fixed-point problem for ``T`` is.  For operators that flatten to an affine map
-the range is an affine subspace and everything is exact; otherwise the
-residual ``x_n - T x_n`` of a fixed-point iteration estimates the vector.
+the range is an affine subspace and everything is exact.  The iterative route
+evaluates such a map at two proposed points at most: its fixed point from one
+LU solve, and failing that a point whose displacement is the vector itself,
+from one SVD that decides the rank as the exact route does.  Other operators
+are estimated by the residual ``x_n - T x_n`` of a fixed-point iteration.
 Averaged maps iterate ``T`` itself.  Merely nonexpansive ones iterate the
 Krasnosel'skii-Mann relaxation ``(Id + T) / 2``, which is averaged and whose
 minimal displacement vector is half that of ``T`` (Baillon-Bruck-Reich 1978).
-An affine ``T`` is first offered exact proposals: its fixed point from one LU
-solve, and failing that a point whose displacement is the vector itself, from
-one SVD that decides the rank as the exact route does.  The iteration stops
-once a residual is certified within ``tol`` of the vector by the range
-calculus of compositions and convex combinations.
+The iteration stops once a residual is certified within ``tol`` of the vector
+by the range calculus of compositions and convex combinations.
 """
 
 from __future__ import annotations
@@ -58,12 +58,14 @@ class DisplacementEstimate:
     """A displacement-vector estimate together with convergence metadata.
 
     ``residual`` is the last successive-estimate difference for the iterative
-    methods.  For the exact method it is the attainment residual: the distance
+    method (for an affine proposal, its difference from the estimate at
+    ``x0``).  For the exact method it is the attainment residual: the distance
     of the vector from the cached displacement range, i.e. rounding only.
     ``error_bound`` certifies the distance of ``vector`` from the minimal
     displacement vector, rounding allowed for, when an iterative run stopped
     on it (so it is at most ``tol``); it is None otherwise, and reports do
-    not carry it.
+    not carry it.  An iterative estimate that converged without one was
+    stall-stopped, which happens only to maps that do not flatten to affine.
     """
 
     vector: np.ndarray
@@ -130,24 +132,27 @@ def displacement_iterative(
     max_iter: int = DEFAULT_MAX_ITER,
     tol: float = DEFAULT_TOL,
 ) -> DisplacementEstimate:
-    """Estimate the minimal displacement vector by fixed-point iteration.
+    """Estimate the minimal displacement vector by fixed-point evaluations.
 
-    Averaged operators iterate ``T``: the residual ``x_n - T x_n`` converges
-    to the minimal displacement vector.  Other operators iterate the averaged
-    ``T_half = (Id + T) / 2``, whose vector is half of ``T``'s, and report its
-    residual doubled.  When ``T`` flattens to ``x -> Mx + b``, up to two
-    points are proposed first, one iteration each: the LU-solved fixed point
+    When ``T`` flattens to ``x -> Mx + b``, two points at most are evaluated,
+    one iteration each of ``T_half = (Id + T) / 2``: the LU-solved fixed point
     of ``T_half``, then ``V_k S_k^-1 U_k^T b`` from one SVD of ``I - M``
     ranked as on the exact route, whose displacement is that route's ``v``.
-    A proposal that the bounds below certify ends the run; otherwise the run
-    iterates from ``x0``.  On quiet steps
-    (successive estimates within ``tol``) the run stops with ``error_bound``
-    set once ``|e|``, else ``|e - v|`` (flattenable ``T``), else
+    The first whose doubled residual ``e`` is certified by ``|e|`` or
+    ``|e - v|``, each with an allowance for rounding, is returned with
+    ``error_bound``; if neither is, the last one evaluated is returned with
+    ``converged=False``.
+
+    Other averaged operators iterate ``T``: the residual ``x_n - T x_n``
+    converges to the minimal displacement vector.  The rest iterate the
+    averaged ``T_half``, whose vector is half of ``T``'s, and report its
+    residual doubled.  On quiet steps (successive estimates within ``tol``)
+    the run stops with ``error_bound`` set once ``|e|``, else
     ``sqrt(|e|^2 - |p|^2)`` (``p`` the cover point), each with an allowance
-    for rounding, is at most ``tol``; the last cannot read below about
-    ``sqrt(2 gamma) |p|``, ``gamma = 8 dim eps``.  Failing that,
-    iteration stops once successive estimates stay within ``tol`` for 64
-    consecutive steps, or after ``max_iter`` iterations.  The run
+    for rounding, is at most ``tol``; the latter cannot read below about
+    ``sqrt(2 gamma) |p|``, ``gamma = 8 dim eps``.  Failing that, iteration
+    stops once successive estimates stay within ``tol`` for 64 consecutive
+    steps, or after ``max_iter`` iterations.  The run
     requirement guards against transient plateaus: piecewise-affine geometry
     (projections onto boxes or halfspaces) can hold the residual exactly
     constant for a stretch while the iterate is still sliding toward the limit.
@@ -157,7 +162,8 @@ def displacement_iterative(
     T : Operator
         Nonexpansive operator (by construction of the variants).
     x0 : array-like, optional
-        Starting point; the origin when omitted.
+        Starting point; the origin when omitted.  For a flattenable ``T`` it
+        only anchors ``residual``.
     max_iter, tol
         Iteration budget (a positive integer) and successive-difference
         threshold (positive and finite).
@@ -167,42 +173,39 @@ def displacement_iterative(
     _check_budget(max_iter, tol)
     x = np.zeros(T.dim) if x0 is None else as_vector(x0, T.dim).copy()
 
-    spent = 0  # iterations spent on proposals
     flat = flatten_to_affine(T)
     if flat is None:
         step = T._apply
-        bound = _error_bound(T.dim, tol, lambda: _cover_point(T), exact=False)
-
-        def relaxed(v):
-            return v + _KM_STEP * (step(v) - v)
-    else:
-        M, b = flat.M, flat.b
-        M_h = (1.0 - _KM_STEP) * np.eye(T.dim) + _KM_STEP * M
-        b_h = _KM_STEP * b
-
-        def step(v):
-            return M @ v + b
-
-        def relaxed(v):
-            return M_h @ v + b_h
-
-        solved = functools.cache(lambda: _range_point(M, b))  # the one SVD of I - M
-        bound = _error_bound(T.dim, tol, lambda: (solved()[1], _norm(b)), exact=True)
-        for propose in (lambda: _fixed_point(M_h, b_h), lambda: solved()[0]):
-            if spent == max_iter:
-                break
-            if (x_hat := propose()) is None:
-                continue
-            spent += 1
-            tx_hat = relaxed(x_hat)
-            r_hat = x_hat - tx_hat
-            if (err := bound(r_hat, x_hat, tx_hat, _KM_STEP)) <= tol:
-                residual = _norm(r_hat - (x - relaxed(x))) / _KM_STEP
-                return DisplacementEstimate(r_hat / _KM_STEP, residual, spent,
-                                            RESIDUAL_ITERATION, True, err)
-    if T.is_averaged:
-        return _residual_iteration(step, x, max_iter, tol, bound, spent=spent)
-    return _residual_iteration(relaxed, x, max_iter, tol, bound, _KM_STEP, spent)
+        bound = _error_bound(T.dim, tol, lambda: _cover_point(T))
+        if T.is_averaged:
+            return _residual_iteration(step, x, max_iter, tol, bound)
+        return _residual_iteration(lambda v: v + _KM_STEP * (step(v) - v), x, max_iter, tol,
+                                   bound, _KM_STEP)
+    M, b = flat.M, flat.b
+    M_h = (1.0 - _KM_STEP) * np.eye(T.dim) + _KM_STEP * M
+    b_h = _KM_STEP * b
+    gamma = _ROUNDING * T.dim * np.finfo(float).eps
+    solved = functools.cache(lambda: _range_point(M, b))  # the one SVD of I - M
+    spent = 0
+    for propose in (lambda: _fixed_point(M_h, b_h), lambda: solved()[0]):
+        if (x_hat := propose()) is None:
+            continue
+        spent += 1
+        tx_hat = M_h @ x_hat + b_h
+        r_hat = x_hat - tx_hat
+        e = r_hat / _KM_STEP
+        # bound 1 as in _error_bound; bound 2 allows gamma (|v| + |b|) for v's rounding
+        err = _norm(e) + 2.0 * (gamma * (_norm(x_hat) + _norm(tx_hat)) / _KM_STEP)
+        if not err <= tol:
+            v = solved()[1]
+            err = _norm(e - v) + gamma * (_norm(v) + _norm(b))
+        if err <= tol or spent == max_iter:
+            break
+    _check_finite(e)
+    residual = _norm(r_hat - (x - (M_h @ x + b_h))) / _KM_STEP
+    certified = err <= tol
+    return DisplacementEstimate(e, residual, spent, RESIDUAL_ITERATION, certified,
+                                err if certified else None)
 
 
 def _is_integer(n) -> bool:
@@ -251,18 +254,17 @@ def _cover_point(T: Operator):
     return base, _norm(cover.base)
 
 
-def _error_bound(dim: int, tol, point, exact: bool):
+def _error_bound(dim: int, tol, point):
     """``bound(est, x, tx, scale) >= |e - v|`` for the estimate ``e = est /
     scale`` of a residual ``x - tx``, or inf; ``point()`` gives ``(p, |base|)``
-    of the cover (``p = v`` when ``exact``) or None, and is called once, when
-    ``|e|`` first fails.
+    of the cover or None, and is called once, when ``|e|`` first fails.
 
     The exact residual lies in ``cl ran(Id - T)``; ``e`` may be off it by
     ``de = gamma (|x| + |tx|) / scale`` and ``p`` off by ``dp = gamma (|p| +
-    |base|)``, ``gamma = 8 dim eps``.  Bound 1 is ``|e| + 2 de``, bound 2
-    ``|e - p| + dp``.  In bound 3 ``|p|`` may overshoot ``|v|`` by ``dp``,
-    which puts ``2 (|p| dp + |e| de)`` under the square root; once ``2 |p|
-    dp`` alone exceeds ``tol^2`` the run stops trying.
+    |base|)``, ``gamma = 8 dim eps``.  Bound 1 is ``|e| + 2 de``.  In bound 3
+    ``|p|`` may overshoot ``|v|`` by ``dp``, which puts ``2 (|p| dp + |e| de)``
+    under the square root; once ``2 |p| dp`` alone exceeds ``tol^2`` the run
+    stops trying.  Bound 2 belongs to flattenable maps.
     """
     gamma = _ROUNDING * dim * np.finfo(float).eps
     stage, p, norm_p, dp = "pending", None, 0.0, 0.0
@@ -281,14 +283,12 @@ def _error_bound(dim: int, tol, point, exact: bool):
                 p, base_size = found
                 norm_p = _norm(p)
                 dp = gamma * (norm_p + base_size)
-                if not exact and 2.0 * norm_p * dp > tol * tol:
+                if 2.0 * norm_p * dp > tol * tol:
                     stage = "hopeless"
                     return math.inf
         if p is None:
             return err + 2.0 * de
         d = e - p
-        if exact:  # p is v
-            return _norm(d) + dp
         # |e* - v|^2 <= |e*|^2 - |v|^2 <= |e*|^2 - |p|^2, and |e|^2 - |p|^2 = |d|^2 + 2 <d, p>
         q = d @ d + 2.0 * (d @ p) + 2.0 * (norm_p * dp + err * de) + de * de
         return math.sqrt(max(0.0, q)) + de
@@ -316,16 +316,14 @@ def _range_point(M, b):
     return vt[:k].T @ (c / s[:k]), u[:, :k] @ c - b
 
 
-def _residual_iteration(step, x, max_iter, tol, bound, scale=1.0,
-                        spent=0) -> DisplacementEstimate:
+def _residual_iteration(step, x, max_iter, tol, bound, scale=1.0) -> DisplacementEstimate:
     """Iterate ``step`` and estimate by its residual divided by ``scale``,
-    certified by ``bound`` on quiet steps; ``spent`` iterations of
-    ``max_iter`` are already used."""
+    certified by ``bound`` on quiet steps."""
     tx = step(x)
     est = x - tx
     residual = math.inf
     converged = False
-    iterations = spent
+    iterations = 0
     stall = 0
     while iterations < max_iter:
         x = tx

@@ -181,10 +181,3 @@ def affine_discrepancy(s1: AffineSubspace, s2: AffineSubspace) -> float:
             resid = b.basis - a.basis @ (a.basis.T @ b.basis) if a.rank else b.basis
             worst = max(worst, float(np.max(np.linalg.norm(resid, axis=0))))
     return worst
-
-
-def affine_equal(s1: AffineSubspace, s2: AffineSubspace, tol: float = 1e-9) -> bool:
-    """True iff the two affine subspaces coincide within ``tol``."""
-    if not tol >= 0:
-        raise ValidationError("tolerance must be nonnegative")
-    return affine_discrepancy(s1, s2) <= tol

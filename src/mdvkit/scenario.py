@@ -39,7 +39,7 @@ from .operators import (
     Resolvent,
     SetProjector,
 )
-from .sets import AffineSet, Ball, Box, ConvexSet, Halfspace, Singleton
+from .sets import AffineSet, Ball, Box, Halfspace, Singleton
 
 SCHEMA_VERSION = 1
 _FLOAT_FORMAT = ".17g"
@@ -172,13 +172,11 @@ def _fields(fields: dict, node: dict, path: str, dim) -> list:
 
 
 class _Kind(NamedTuple):
-    """``fields``: parsers by key in constructor order, or one for the whole body;
-    ``read``: an instance's constructor arguments (default: attributes named as keys)."""
+    """``fields``: parsers by key in constructor order, or one for the whole body."""
 
     cls: type
     fields: dict | Callable
     build: Callable | None = None
-    read: Callable | None = None
 
 
 #: Deepest nesting of grammar entries (operators, their sets and monotone maps):
@@ -229,8 +227,7 @@ _SETS = {
     "halfspace": _Kind(Halfspace, {"normal": _vector, "offset": _number}),
     "affine_subspace": _Kind(
         AffineSet, {"base": _vector, "basis": _optional(_basis)},
-        build=lambda base, basis: AffineSet(AffineSubspace(base, basis)),
-        read=lambda s: (s.subspace.base, s.subspace.basis.T)),
+        build=lambda base, basis: AffineSet(AffineSubspace(base, basis))),
     "singleton": _Kind(Singleton, {"point": _vector}),
 }
 _set = partial(_tagged, _SETS, "set")
@@ -241,46 +238,19 @@ _monotone = partial(_build, _MONOTONE)
 #: ``compose`` lists parts innermost-first (the first entry is applied first).
 _OPERATORS = {
     "affine": _Kind(AffineMap, {"M": _matrix, "b": _vector}),
-    "projector": _Kind(SetProjector, _set, read=lambda op: (op.set,)),
-    "compose": _Kind(Composition, _operators, read=lambda op: (op.parts,)),
+    "projector": _Kind(SetProjector, _set),
+    "compose": _Kind(Composition, _operators),
     "combo": _Kind(ConvexCombination, {"weights": _numbers, "parts": _operators}),
-    "resolvent": _Kind(Resolvent, _monotone, read=lambda op: (op.operator,)),
-    "reflected": _Kind(ReflectedResolvent, _monotone, read=lambda op: (op.operator,)),
+    "resolvent": _Kind(Resolvent, _monotone),
+    "reflected": _Kind(ReflectedResolvent, _monotone),
     "gradstep": _Kind(GradientStep, {"Q": _matrix, "q": _vector, "step": _number}),
 }
 _operator = partial(_tagged, _OPERATORS, "operator")
-
-#: Built class -> (kind, entry); the monotone operator is a bare, untagged object.
-_KIND_OF = {spec.cls: (kind, spec) for table in (_SETS, _OPERATORS)
-            for kind, spec in table.items()}
-_KIND_OF[MonotoneAffine] = (None, _MONOTONE)
 
 
 def operator_from_spec(node, dim: int, path: str = "operator") -> Operator:
     """Operator grammar: affine, projector, compose, combo, resolvent, reflected, gradstep."""
     return _operator(node, path, dim)
-
-
-def _to_spec(value):
-    """JSON form of a parsed value: arrays as lists, built objects by their grammar."""
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    if isinstance(value, tuple):
-        return [_to_spec(v) for v in value]
-    if not isinstance(value, (Operator, ConvexSet, MonotoneAffine)):
-        return value
-    if type(value) not in _KIND_OF:
-        raise ValidationError(f"unknown variant {type(value).__name__}")
-    kind, spec = _KIND_OF[type(value)]
-    args = spec.read(value) if spec.read else [getattr(value, key) for key in spec.fields]
-    body = _to_spec(args[0]) if callable(spec.fields) else {
-        key: _to_spec(arg) for key, arg in zip(spec.fields, args)}
-    return body if kind is None else {kind: body}
-
-
-def operator_to_spec(op: Operator) -> dict:
-    """Inverse of :func:`operator_from_spec` (sets render by their parameters)."""
-    return _to_spec(op)
 
 
 class _Check(NamedTuple):
@@ -299,7 +269,7 @@ _CHECKS = {
     "cyclic_norm": _Check(ops=True, iterative=True),
     "noncyclic_counterexample": _Check({"u": _vector}),
     "three_op_closed_form": _Check({"deltas": _integers, "a": _rows}),
-    "convex_combination": _Check({"weights": _numbers}, ops=True),
+    "convex_combination": _Check({"weights": _numbers}, ops=True, iterative=True),
     "zero_sum_corollary": _Check({"weights": _numbers}, ops=True),
     "cocoercive_averaged_equivalence": _Check(
         {"A": _monotone, "mu": _optional(_number), "samples": _optional(_count, 1000)}),

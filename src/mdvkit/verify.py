@@ -209,20 +209,27 @@ def check_three_op_closed_form(deltas, a, tol: float = 1e-10, seed: int = 0) -> 
                  witness={"deltas": deltas}, seed=seed)
 
 
-def check_convex_combination(ops, weights, tol: float = EXACT_TOL, seed: int = 0) -> CheckReport:
+def check_convex_combination(ops, weights, tol: float = EXACT_TOL, seed: int = 0,
+                             max_iter: int = disp.DEFAULT_MAX_ITER,
+                             iter_tol: float = disp.DEFAULT_TOL) -> CheckReport:
     """Convex combinations: weighted-Minkowski range identity and mdv norm bounds.
 
     Verifies (for affine parts) that the displacement range of the combination
     equals the weighted Minkowski sum of the part ranges, and (always) the
     chain ``||mdv(combo)|| <= ||sum_i w_i mdv_i|| <= sum_i w_i ||mdv_i||``.
-    Nonexpansiveness alone suffices; no averagedness hypothesis.
+    Nonexpansiveness alone suffices; no averagedness hypothesis.  The first
+    link allows for the certified ``error_bound`` of each estimate.
     """
     ops = _as_operator_list(ops)
     weights = as_vector(weights, len(ops))
     combo = ConvexCombination(weights, ops)
     all_affine = all(flatten_to_affine(op) is not None for op in ops)
-    mdvs = [disp.minimal_displacement(op).vector for op in ops]
-    v_combo = disp.minimal_displacement(combo).vector
+    ests = [disp.minimal_displacement(op, max_iter=max_iter, tol=iter_tol) for op in ops]
+    est_combo = disp.minimal_displacement(combo, max_iter=max_iter, tol=iter_tol)
+    mdvs = [est.vector for est in ests]
+    v_combo = est_combo.vector
+    slack = (est_combo.error_bound or 0.0) + sum(
+        float(w) * (est.error_bound or 0.0) for w, est in zip(weights, ests))
     notes = ""
     if all_affine:
         lhs = disp.displacement_range_affine(combo)
@@ -240,7 +247,7 @@ def check_convex_combination(ops, weights, tol: float = EXACT_TOL, seed: int = 0
         weighted_sum += w * v
         weighted_norms += float(w) * float(np.linalg.norm(v))
     mid = float(np.linalg.norm(weighted_sum))
-    d_first = max(0.0, float(np.linalg.norm(v_combo)) - mid)
+    d_first = max(0.0, float(np.linalg.norm(v_combo)) - mid - slack)
     d_second = max(0.0, mid - weighted_norms)
     d = max(d_range, d_first, d_second)
     return _make("convex_combination", lhs, rhs, d, tol,

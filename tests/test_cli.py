@@ -323,6 +323,27 @@ def test_reflected_resolvent_with_a_tiny_modulus_estimates(tmp_path, capsys):
     assert est["converged"]
 
 
+def test_convex_combination_allows_for_certified_error_bounds(tmp_path, capsys, monkeypatch):
+    # every answer is 0, but the iterative estimate of the combination is
+    # certified only to about 3.4e-9, above the check's 1e-9
+    scn = {"name": "combo-bound", "dim": 1, "seed": 0,
+           "operators": [{"affine": {"M": [[0.5]], "b": [1.0]}},
+                         {"projector": {"ball": {"center": [0.0], "radius": 1.0}}},
+                         {"reflected": {"Q": [[1.0]], "q": [0.5]}}],
+           "checks": [{"name": "convex_combination", "ops": [0, 1, 2],
+                       "weights": [0.2, 0.3, 0.5]}],
+           "estimator": {"max_iter": 5000, "tol": 1e-8}}
+    seen = []
+    check = verify.check_convex_combination
+    monkeypatch.setattr(verify, "check_convex_combination",
+                        lambda *args, **kw: seen.append(kw) or check(*args, **kw))
+    assert main(["verify", _dump(tmp_path, scn)]) == EXIT_OK
+    row = json.loads(capsys.readouterr().out)["checks"][0]
+    assert row["pass"] and row["discrepancy"] == "0"
+    assert float(row["lhs"][0]) > float(row["tolerance"])
+    assert seen[0]["max_iter"] == 5000 and seen[0]["iter_tol"] == 1e-8
+
+
 def test_bad_flags_exit_two(capsys):
     assert main(["no-such-command"]) == EXIT_INVALID
     assert main([]) == EXIT_INVALID

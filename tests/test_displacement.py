@@ -372,17 +372,22 @@ def test_relaxed_dim_50_turn_with_a_near_identity_block_converges(seed):
     assert est.converged and est.error_bound <= 1e-7 and est.norm <= est.error_bound
 
 
+def _slow_turn(first):
+    """A dim-6 orthogonal map, shifted, whose first 2x2 block turns by ``first``."""
+    rng = np.random.default_rng(11)
+    block = np.eye(6)
+    for i, theta in enumerate((first, 0.7, 2.1)):
+        block[2 * i:2 * i + 2, 2 * i:2 * i + 2] = [[np.cos(theta), -np.sin(theta)],
+                                                   [np.sin(theta), np.cos(theta)]]
+    basis = _orthogonal(rng, 6)
+    return AffineMap(basis @ block @ basis.T, 0.2 * rng.standard_normal(6))
+
+
 def test_near_singular_fixed_point_proposal_is_refused_or_certified_truthfully():
     # one block turns by 1e-12: I - M is invertible, but its smallest singular
     # value, about 1e-12, is below the exact route's relative rank cutoff, and
     # the LU fixed point lies about 1e12 out
-    rng = np.random.default_rng(11)
-    block = np.eye(6)
-    for i, theta in enumerate((1e-12, 0.7, 2.1)):
-        block[2 * i:2 * i + 2, 2 * i:2 * i + 2] = [[np.cos(theta), -np.sin(theta)],
-                                                   [np.sin(theta), np.cos(theta)]]
-    basis = _orthogonal(rng, 6)
-    T = AffineMap(basis @ block @ basis.T, 0.2 * rng.standard_normal(6))
+    T = _slow_turn(1e-12)
     smallest = np.linalg.svd(np.eye(6) - T.M, compute_uv=False)[-1]
     assert 1e-13 < smallest < 1e-11
     exact = displacement_exact_affine(T).vector
@@ -391,6 +396,18 @@ def test_near_singular_fixed_point_proposal_is_refused_or_certified_truthfully()
         assert est.iterations <= max_iter
         if est.error_bound is not None:
             assert np.linalg.norm(est.vector - exact) <= est.error_bound <= 1e-7
+
+
+def test_a_map_no_proposal_certifies_is_returned_unconverged():
+    # a turn by 3e-10 puts the smallest singular value of I - M just above the
+    # rank cutoff: rounding refuses both points, and iterating on from them
+    # would stall-stop far from v
+    T = _slow_turn(3e-10)
+    smallest = np.linalg.svd(np.eye(6) - T.M, compute_uv=False)[-1]
+    assert 1e-10 < smallest < 1e-9
+    est = displacement_iterative(T)
+    assert not est.converged and est.error_bound is None and est.iterations <= 2
+    assert np.linalg.norm(est.vector - displacement_exact_affine(T).vector) <= 1e-6
 
 
 def _flat_leaf(rng, dim):
@@ -470,11 +487,33 @@ def test_a_refused_fixed_point_costs_one_svd(monkeypatch):
         est = displacement_iterative(singular, max_iter=max_iter, tol=1e-7)
         assert est.iterations == 2 and est.converged
     assert len(calls) == 2  # one per run: the point, its vector and the bound
-    # below rounding nothing certifies: both points are refused, and the run
-    # iterates to its cap on the same one SVD
+    # below rounding nothing certifies: both points are refused on the same
+    # one SVD, and the second comes back uncertified
     est = displacement_iterative(singular, max_iter=50, tol=1e-20)
-    assert est.iterations == 50 and not est.converged
+    assert est.iterations == 2 and not est.converged and est.error_bound is None
     assert len(calls) == 3
+
+
+def test_flattenable_maps_never_enter_the_fixed_point_loop(monkeypatch):
+    def loop(*args, **kwargs):
+        raise AssertionError("a flattenable map reached the fixed-point loop")
+
+    monkeypatch.setattr(disp_mod, "_residual_iteration", loop)
+    rng = np.random.default_rng(5)
+    maps = [
+        Composition([AffineMap(_orthogonal(rng, 4), rng.standard_normal(4)) for _ in range(2)]),
+        _turn_about_e3_after_a_shift(),
+        _turn_about_e3_after_a_shift(turned=True),
+        _slow_turn(1e-12),
+        _slow_turn(3e-10),
+        Composition([_flat_leaf(rng, 5) for _ in range(3)]),
+    ]
+    for T in maps:
+        for max_iter in (1, 2, 50):
+            for tol in (1e-20, 1e-7):
+                est = displacement_iterative(T, max_iter=max_iter, tol=tol)
+                assert est.iterations <= min(2, max_iter)
+                assert est.converged == (est.error_bound is not None)
 
 
 def test_contractive_flatten_uses_residual_route():

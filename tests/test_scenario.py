@@ -13,16 +13,7 @@ import pytest
 from mdvkit.displacement import minimal_displacement
 from mdvkit.errors import ValidationError
 from mdvkit.numeric import AffineSubspace
-from mdvkit.operators import (
-    AffineMap,
-    Composition,
-    ConvexCombination,
-    GradientStep,
-    MonotoneAffine,
-    ReflectedResolvent,
-    Resolvent,
-    SetProjector,
-)
+from mdvkit.operators import Composition
 from mdvkit.scenario import (
     _CSV,
     dumps_report,
@@ -32,7 +23,6 @@ from mdvkit.scenario import (
     load_report,
     load_scenario,
     operator_from_spec,
-    operator_to_spec,
     report_to_csv,
     run_scenario_checks,
     scenario_from_dict,
@@ -40,7 +30,6 @@ from mdvkit.scenario import (
     verify_payload,
     write_atomic,
 )
-from mdvkit.sets import AffineSet, Ball, Box, Halfspace, Singleton
 from mdvkit.verify import CheckReport, builtin_suite
 
 REPO_SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -115,37 +104,6 @@ def test_operator_grammar_all_kinds():
     assert isinstance(op, Composition) and len(op.parts) == 8
     y = op([0.3, -0.4])
     assert np.all(np.isfinite(y))
-
-
-def test_operator_spec_roundtrip():
-    ops = [
-        AffineMap([[0.0, 0.5], [0.5, 0.0]], [0.1, -0.2]),
-        SetProjector(Box([-1.0, 0.0], [1.0, 2.0])),
-        SetProjector(Ball([1.0, 1.0], 3.0)),
-        SetProjector(Halfspace([0.0, 2.0], 1.0)),
-        SetProjector(Singleton([4.0, 5.0])),
-        Resolvent(MonotoneAffine([[1.0, 0.0], [0.0, 2.0]], [0.0, 1.0])),
-        ReflectedResolvent(MonotoneAffine([[1.0, 0.0], [0.0, 2.0]], [0.0, 1.0])),
-        GradientStep([[1.0, 0.0], [0.0, 1.0]], [0.5, 0.0], 1.0),
-        ConvexCombination([0.25, 0.75], [AffineMap.identity(2),
-                                         AffineMap.translation([1.0, 0.0])]),
-    ]
-    rng = np.random.default_rng(3)
-    for op in ops:
-        rebuilt = operator_from_spec(operator_to_spec(op), 2)
-        for _ in range(5):
-            x = rng.standard_normal(2)
-            np.testing.assert_allclose(rebuilt(x), op(x), atol=1e-12)
-    comp = Composition(ops[:3])
-    rebuilt = operator_from_spec(operator_to_spec(comp), 2)
-    x = np.array([0.7, -0.3])
-    np.testing.assert_allclose(rebuilt(x), comp(x), atol=1e-12)
-    # subspace projectors keep their span through the vector-list encoding
-    from mdvkit.numeric import AffineSubspace
-    line = SetProjector(AffineSet(AffineSubspace(np.array([1.0, 0.0]),
-                                                 np.array([[0.0], [1.0]]))))
-    rebuilt_line = operator_from_spec(operator_to_spec(line), 2)
-    np.testing.assert_allclose(rebuilt_line([0.0, 3.0]), [1.0, 3.0], atol=1e-12)
 
 
 def test_run_scenario_checks_requires_parameters():
