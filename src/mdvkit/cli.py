@@ -114,7 +114,12 @@ def cmd_verify(args) -> int:
 
 def cmd_report(args) -> int:
     payload = scn_mod.load_report(args.report)
-    _emit(payload, args.format, args.out)
+    try:
+        _emit(payload, args.format, args.out)
+    except RecursionError as exc:  # a witness nested too deeply to render, though json read it
+        raise ValidationError(f"{args.report}: report nested too deeply to render") from exc
+    except UnicodeEncodeError as exc:  # a lone surrogate, which JSON escapes but CSV prints
+        raise ValidationError(f"{args.report}: text not writable as UTF-8 ({exc.reason})") from exc
     return EXIT_OK
 
 

@@ -11,8 +11,9 @@ are estimated by the residual ``x_n - T x_n`` of a fixed-point iteration.
 Averaged maps iterate ``T`` itself.  Merely nonexpansive ones iterate the
 Krasnosel'skii-Mann relaxation ``(Id + T) / 2``, which is averaged and whose
 minimal displacement vector is half that of ``T`` (Baillon-Bruck-Reich 1978).
-The iteration stops once a residual is certified within ``tol`` of the vector
-by the range calculus of compositions and convex combinations.
+The iteration stops once :func:`_error_bound` certifies a residual within
+``tol`` of the vector, by the range calculus of compositions and convex
+combinations (:func:`mdvkit.operators._cover`).
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import numpy as np
 
 from .errors import NumericalError, UnsupportedOperatorError, ValidationError
 from .numeric import AffineSubspace, _rank, as_vector, orthonormal_range_basis
-from .operators import Cover, Operator, flatten_to_affine
+from .operators import Operator, _cover, flatten_to_affine
 
 EXACT_AFFINE = "exact_affine"
 RESIDUAL_ITERATION = "residual_iteration"
@@ -61,11 +62,12 @@ class DisplacementEstimate:
     method (for an affine proposal, its difference from the estimate at
     ``x0``).  For the exact method it is the attainment residual: the distance
     of the vector from the cached displacement range, i.e. rounding only.
-    ``error_bound`` certifies the distance of ``vector`` from the minimal
-    displacement vector, rounding allowed for, when an iterative run stopped
-    on it (so it is at most ``tol``); it is None otherwise, and reports do
-    not carry it.  An iterative estimate that converged without one was
-    stall-stopped, which happens only to maps that do not flatten to affine.
+    ``error_bound`` is the bound that certified an iterative estimate ``e``
+    within ``tol`` of the vector ``v``, rounding allowed for: ``|e|``,
+    ``|e - v|`` (flattenable maps) or ``sqrt(|e|^2 - |p|^2)`` (``p`` the
+    cover point); it is None otherwise, and reports do not carry it.  An
+    iterative estimate that converged without one was stall-stopped, which
+    happens only to maps that do not flatten to affine.
     """
 
     vector: np.ndarray
@@ -173,18 +175,13 @@ def displacement_iterative(
     _check_budget(max_iter, tol)
     x = np.zeros(T.dim) if x0 is None else as_vector(x0, T.dim).copy()
 
+    gamma = _ROUNDING * T.dim * np.finfo(float).eps
     flat = flatten_to_affine(T)
     if flat is None:
-        step = T._apply
-        bound = _error_bound(T.dim, tol, lambda: _cover_point(T))
-        if T.is_averaged:
-            return _residual_iteration(step, x, max_iter, tol, bound)
-        return _residual_iteration(lambda v: v + _KM_STEP * (step(v) - v), x, max_iter, tol,
-                                   bound, _KM_STEP)
+        return _residual_iteration(T, x, max_iter, tol, gamma)
     M, b = flat.M, flat.b
     M_h = (1.0 - _KM_STEP) * np.eye(T.dim) + _KM_STEP * M
     b_h = _KM_STEP * b
-    gamma = _ROUNDING * T.dim * np.finfo(float).eps
     solved = functools.cache(lambda: _range_point(M, b))  # the one SVD of I - M
     spent = 0
     for propose in (lambda: _fixed_point(M_h, b_h), lambda: solved()[0]):
@@ -194,9 +191,8 @@ def displacement_iterative(
         tx_hat = M_h @ x_hat + b_h
         r_hat = x_hat - tx_hat
         e = r_hat / _KM_STEP
-        # bound 1 as in _error_bound; bound 2 allows gamma (|v| + |b|) for v's rounding
-        err = _norm(e) + 2.0 * (gamma * (_norm(x_hat) + _norm(tx_hat)) / _KM_STEP)
-        if not err <= tol:
+        err = _error_bound(e, gamma * (_norm(x_hat) + _norm(tx_hat)) / _KM_STEP, tol, lambda: None)
+        if not err <= tol:  # bound 2 allows gamma (|v| + |b|) for v's rounding
             v = solved()[1]
             err = _norm(e - v) + gamma * (_norm(v) + _norm(b))
         if err <= tol or spent == max_iter:
@@ -224,19 +220,11 @@ def _check_finite(x: np.ndarray) -> None:
         raise NumericalError("iteration produced non-finite values")
 
 
-def _cover(T: Operator) -> Cover | None:
-    """Superset of ``cl ran(Id - T)`` (None: R^dim), exact when ``T`` flattens
-    to ``x -> Mx + b``: ``-b + ran(I - M)``, left unfactored until the whole
-    cover is known to be a proper set."""
-    if (flat := flatten_to_affine(T)) is not None:
-        return Cover(-flat.b, np.eye(T.dim) - flat.M, np.zeros((T.dim, 0)))
-    return T._displacement_cover(_cover)
-
-
-def _cover_point(T: Operator):
-    """``(p, |base|)`` for ``p`` the nearest point to the origin of a
-    :func:`_cover` with at most one ray outside its span; None (the origin,
-    never farther out than the minimal displacement vector) otherwise."""
+def _cover_point(T: Operator, gamma: float):
+    """``(p, |p|, dp)`` for ``p`` the nearest point to the origin of a cover
+    with at most one ray outside its span, ``dp = gamma (|p| + |base|)`` its
+    rounding allowance; None (the origin, never farther out than the minimal
+    displacement vector) otherwise."""
     cover = _cover(T)
     if cover is None:
         return None
@@ -251,49 +239,31 @@ def _cover_point(T: Operator):
         if _norm(a) <= _RAY_IN_SPAN * _norm(cover.rays[:, 0]):
             return None  # about to be absorbed by the span, or lost to rounding
         base = base + max(0.0, -(a @ base) / (a @ a)) * a
-    return base, _norm(cover.base)
+    norm_p = _norm(base)
+    return base, norm_p, gamma * (norm_p + _norm(cover.base))
 
 
-def _error_bound(dim: int, tol, point):
-    """``bound(est, x, tx, scale) >= |e - v|`` for the estimate ``e = est /
-    scale`` of a residual ``x - tx``, or inf; ``point()`` gives ``(p, |base|)``
-    of the cover or None, and is called once, when ``|e|`` first fails.
+def _error_bound(e, de, tol, point) -> float:
+    """A bound on ``|e - v|`` for an estimate ``e`` computed within ``de`` of a
+    point of ``cl ran(Id - T)``, or inf; ``point()`` gives ``(p, |p|, dp)``
+    of the cover or None, and is read only when bound 1 fails.
 
-    The exact residual lies in ``cl ran(Id - T)``; ``e`` may be off it by
-    ``de = gamma (|x| + |tx|) / scale`` and ``p`` off by ``dp = gamma (|p| +
-    |base|)``, ``gamma = 8 dim eps``.  Bound 1 is ``|e| + 2 de``.  In bound 3
-    ``|p|`` may overshoot ``|v|`` by ``dp``, which puts ``2 (|p| dp + |e| de)``
-    under the square root; once ``2 |p| dp`` alone exceeds ``tol^2`` the run
-    stops trying.  Bound 2 belongs to flattenable maps.
+    Bound 1 is ``|e| + 2 de``.  In bound 3, ``sqrt(|e|^2 - |p|^2)``, ``|p|``
+    may overshoot ``|v|`` by ``dp``, which puts ``2 (|p| dp + |e| de)`` under
+    the square root; where ``2 |p| dp`` alone exceeds ``tol^2`` the bound is
+    inf, and so is every later one of the run.  Bound 2 belongs to
+    flattenable maps.
     """
-    gamma = _ROUNDING * dim * np.finfo(float).eps
-    stage, p, norm_p, dp = "pending", None, 0.0, 0.0
-
-    def bound(est, x, tx, scale):
-        nonlocal stage, p, norm_p, dp
-        if stage == "hopeless":
-            return math.inf
-        e = est / scale
-        err, de = _norm(e), gamma * (_norm(x) + _norm(tx)) / scale
-        if err + 2.0 * de <= tol:
-            return err + 2.0 * de
-        if stage == "pending":
-            stage = "ready"
-            if (found := point()) is not None:
-                p, base_size = found
-                norm_p = _norm(p)
-                dp = gamma * (norm_p + base_size)
-                if 2.0 * norm_p * dp > tol * tol:
-                    stage = "hopeless"
-                    return math.inf
-        if p is None:
-            return err + 2.0 * de
-        d = e - p
-        # |e* - v|^2 <= |e*|^2 - |v|^2 <= |e*|^2 - |p|^2, and |e|^2 - |p|^2 = |d|^2 + 2 <d, p>
-        q = d @ d + 2.0 * (d @ p) + 2.0 * (norm_p * dp + err * de) + de * de
-        return math.sqrt(max(0.0, q)) + de
-
-    return bound
+    err = _norm(e)
+    if err + 2.0 * de <= tol or (found := point()) is None:
+        return err + 2.0 * de
+    p, norm_p, dp = found
+    if 2.0 * norm_p * dp > tol * tol:
+        return math.inf
+    d = e - p
+    # |e* - v|^2 <= |e*|^2 - |v|^2 <= |e*|^2 - |p|^2, and |e|^2 - |p|^2 = |d|^2 + 2 <d, p>
+    q = d @ d + 2.0 * (d @ p) + 2.0 * (norm_p * dp + err * de) + de * de
+    return math.sqrt(max(0.0, q)) + de
 
 
 def _fixed_point(M, b):
@@ -316,32 +286,36 @@ def _range_point(M, b):
     return vt[:k].T @ (c / s[:k]), u[:, :k] @ c - b
 
 
-def _residual_iteration(step, x, max_iter, tol, bound, scale=1.0) -> DisplacementEstimate:
-    """Iterate ``step`` and estimate by its residual divided by ``scale``,
-    certified by ``bound`` on quiet steps."""
+def _residual_iteration(T, x, max_iter, tol, gamma) -> DisplacementEstimate:
+    """Iterate ``T`` if averaged, else ``(Id + T) / 2`` with its residual
+    doubled, and stop on a quiet step that :func:`_error_bound` certifies."""
+    scale = 1.0 if T.is_averaged else _KM_STEP
+    step = T._apply if T.is_averaged else lambda v: v + _KM_STEP * (T._apply(v) - v)
+    point = functools.cache(lambda: _cover_point(T, gamma))
     tx = step(x)
     est = x - tx
-    residual = math.inf
-    converged = False
-    iterations = 0
+    certify = True  # off once a bound reads inf: no later quiet step pays for one
     stall = 0
-    while iterations < max_iter:
+    for iterations in range(1, max_iter + 1):
         x = tx
         tx = step(x)
         new_est = x - tx
-        iterations += 1
         residual = _norm(new_est - est) / scale
         est = new_est
         stall = stall + 1 if residual <= tol else 0
-        if stall and (err := bound(est, x, tx, scale)) <= tol:
-            return DisplacementEstimate(est / scale, residual, iterations, RESIDUAL_ITERATION, True, err)
+        if stall and certify:
+            e = est / scale
+            err = _error_bound(e, gamma * (_norm(x) + _norm(tx)) / scale, tol, point)
+            if err <= tol:
+                return DisplacementEstimate(e, residual, iterations, RESIDUAL_ITERATION, True, err)
+            certify = err < math.inf
         if stall >= _STALL_PATIENCE:
-            converged = True
             break
         if iterations % _FINITE_CHECK_EVERY == 0:
             _check_finite(x)
     _check_finite(est)
-    return DisplacementEstimate(est / scale, residual, iterations, RESIDUAL_ITERATION, converged)
+    return DisplacementEstimate(est / scale, residual, iterations, RESIDUAL_ITERATION,
+                                stall >= _STALL_PATIENCE)
 
 
 def _norm(v: np.ndarray) -> float:

@@ -6,7 +6,8 @@ computations available downstream; projector leaves of non-affine sets force
 the iterative fallback.  ``is_averaged`` answers the averagedness hypothesis
 of the composition and convex-combination results: each leaf decides it
 from its own structure (one SVD for an affine map), and a composition or
-convex combination is averaged when every part is.
+convex combination is averaged when every part is.  :func:`_cover` bounds
+each operator's displacement range by the range calculus of the parts.
 """
 
 from __future__ import annotations
@@ -104,12 +105,12 @@ class Cover(NamedTuple):
     rays: np.ndarray
 
     @staticmethod
-    def weighted_sum(parts, weights, cover) -> "Cover | None":
-        """``sum_i w_i cover(part_i)`` for ``w_i > 0`` (subspaces and cones
+    def weighted_sum(parts, weights) -> "Cover | None":
+        """``sum_i w_i _cover(part_i)`` for ``w_i > 0`` (subspaces and cones
         absorb ``w_i``); None from the first part whose cover is None on."""
         covers = []
         for part in parts:
-            if (c := cover(part)) is None:
+            if (c := _cover(part)) is None:
                 return None
             covers.append(c)
         return Cover(sum(w * c.base for w, c in zip(weights, covers)),
@@ -141,8 +142,8 @@ class Operator:
         """``(M, b)`` with ``self(x) == M @ x + b``, or None when not affine."""
         return None
 
-    def _displacement_cover(self, cover) -> Cover | None:
-        """A :class:`Cover` of ``{x - self(x)}``; ``cover(part)`` gives a part's."""
+    def _displacement_cover(self) -> Cover | None:
+        """A :class:`Cover` of ``{x - self(x)}``, or None for all of R^dim."""
         return None
 
 
@@ -229,7 +230,7 @@ class SetProjector(Operator):
     def _affine_pair(self):
         return self.set._affine_projection()
 
-    def _displacement_cover(self, cover):
+    def _displacement_cover(self):
         rays = self.set._normal_rays()
         return None if rays is None else Cover(np.zeros(self.dim), np.zeros((self.dim, 0)), rays)
 
@@ -336,7 +337,7 @@ class ReflectedResolvent(Operator):
 
     @cached_property
     def is_averaged(self):
-        return cocoercivity_modulus(self.operator)[0] > 0.0
+        return cocoercivity_modulus(self.operator) > 0.0
 
     def __repr__(self):
         return f"ReflectedResolvent(dim={self.dim})"
@@ -372,9 +373,9 @@ class Composition(Operator):
                 M, b = Mp @ M, Mp @ b + bp
         return M, b
 
-    def _displacement_cover(self, cover):
+    def _displacement_cover(self):
         # x - T_m..T_1 x telescopes into the parts' displacements along the orbit
-        return Cover.weighted_sum(self.parts, np.ones(len(self.parts)), cover)
+        return Cover.weighted_sum(self.parts, np.ones(len(self.parts)))
 
     @cached_property
     def is_averaged(self):
@@ -424,9 +425,9 @@ class ConvexCombination(Operator):
                 b += w * bp
         return M, b
 
-    def _displacement_cover(self, cover):
+    def _displacement_cover(self):
         # x - sum w_i T_i x = sum w_i (x - T_i x)
-        return Cover.weighted_sum(self.parts, self.weights, cover)
+        return Cover.weighted_sum(self.parts, self.weights)
 
     is_averaged = Composition.is_averaged  # averaged iff every part is
 
@@ -434,29 +435,29 @@ class ConvexCombination(Operator):
         return f"ConvexCombination({len(self.parts)} parts, dim={self.dim})"
 
 
-def cocoercivity_modulus(A: MonotoneAffine, tol: float = NORM_TOL) -> tuple[float, bool]:
+def cocoercivity_modulus(A: MonotoneAffine) -> float:
     """Certified ``mu`` with ``<u, Qu> >= mu ||Qu||^2`` for all ``u``.
 
-    Returns ``(mu, exact)``.  For symmetric ``Q`` the largest modulus is
+    For symmetric ``Q`` (within :data:`NORM_TOL`) the largest modulus is
     ``1 / lmax(Q)`` (capped at :data:`MU_CAP` for the zero map).  For
-    nonsymmetric ``Q`` a conservative valid bound
-    ``lmin((Q+Q^T)/2) / smax(Q)^2`` is certified and flagged inexact;
-    a vanishing symmetric part yields ``mu = 0`` (no certificate).
+    nonsymmetric ``Q`` the conservative valid bound
+    ``lmin((Q+Q^T)/2) / smax(Q)^2`` is certified; a vanishing symmetric part
+    yields ``mu = 0`` (no certificate).
     """
     if not isinstance(A, MonotoneAffine):
         raise ValidationError("cocoercivity_modulus expects a MonotoneAffine")
     Q = A.Q
-    if _spectral_norm(Q) <= tol:
-        return MU_CAP, True
-    if np.max(np.abs(Q - Q.T)) <= tol:
+    if _spectral_norm(Q) <= NORM_TOL:
+        return MU_CAP
+    if np.max(np.abs(Q - Q.T)) <= NORM_TOL:
         lam_max = float(np.linalg.eigvalsh((Q + Q.T) / 2.0)[-1])
         if lam_max <= 1.0 / MU_CAP:
-            return MU_CAP, True
-        return min(1.0 / lam_max, MU_CAP), True
+            return MU_CAP
+        return min(1.0 / lam_max, MU_CAP)
     lam_min = float(np.linalg.eigvalsh((Q + Q.T) / 2.0)[0])
-    if lam_min <= tol:
-        return 0.0, False
-    return min(lam_min / _spectral_norm(Q) ** 2, MU_CAP), False
+    if lam_min <= NORM_TOL:
+        return 0.0
+    return min(lam_min / _spectral_norm(Q) ** 2, MU_CAP)
 
 
 _FLAT_UNSET = object()
@@ -511,3 +512,11 @@ def flatten_to_affine(T: Operator) -> AffineMap | None:
     T._flat_cache = flat
     return flat
 
+
+def _cover(T: Operator) -> Cover | None:
+    """Superset of ``cl ran(Id - T)`` (None: R^dim) by the range calculus,
+    exact when ``T`` flattens to ``x -> Mx + b``: ``-b + ran(I - M)``, left
+    unfactored until the whole cover is known to be a proper set."""
+    if (flat := flatten_to_affine(T)) is not None:
+        return Cover(-flat.b, np.eye(T.dim) - flat.M, np.zeros((T.dim, 0)))
+    return T._displacement_cover()

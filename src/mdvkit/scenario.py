@@ -171,6 +171,15 @@ def _fields(fields: dict, node: dict, path: str, dim) -> list:
     return [parse(node.get(key), f"{path}.{key}", dim) for key, parse in fields.items()]
 
 
+def _object(node, keys, path: str) -> None:
+    """Refuse ``node`` unless it is an object whose keys are all among ``keys``."""
+    if not isinstance(node, dict):
+        _fail(path, f"expected an object with {', '.join(keys)}")
+    for key in node:
+        if key not in keys:
+            _fail(f"{path}.{key}", "unknown key")
+
+
 class _Kind(NamedTuple):
     """``fields``: parsers by key in constructor order, or one for the whole body."""
 
@@ -192,8 +201,8 @@ def _build(spec: _Kind, node, path: str, dim):
     if depth == MAX_NESTING:
         _fail(path, f"nested deeper than {MAX_NESTING} levels")
     whole = callable(spec.fields)
-    if not whole and not isinstance(node, dict):
-        _fail(path, f"expected an object with {', '.join(spec.fields)}")
+    if not whole:
+        _object(node, spec.fields, path)
     _nesting.depth = depth + 1
     try:
         args = [spec.fields(node, path, dim)] if whole else _fields(spec.fields, node, path, dim)
@@ -303,8 +312,7 @@ class Scenario:
 
 
 def scenario_from_dict(raw: dict, path: str = "scenario") -> Scenario:
-    if not isinstance(raw, dict):
-        _fail(path, "scenario file must hold a JSON object")
+    _object(raw, ("name", "dim", "seed", "operators", "checks", "estimator"), path)
     name = raw.get("name", "scenario")
     if not isinstance(name, str):
         _fail(f"{path}.name", "must be a string")
@@ -317,16 +325,14 @@ def scenario_from_dict(raw: dict, path: str = "scenario") -> Scenario:
     for i, node in enumerate(checks_node):
         if not isinstance(node, dict) or not isinstance(node.get("name"), str):
             _fail(f"{path}.checks[{i}]", "each check needs a string 'name'")
-        if node["name"] not in _CHECKS:
+        if (spec := _CHECKS.get(node["name"])) is None:
             _fail(f"{path}.checks[{i}].name",
                   f"unknown check {node['name']!r}; known: {', '.join(_CHECKS)}")
+        ops = ("ops",) if spec.ops else ()
+        _object(node, ("name", "tol", *ops, *spec.fields), f"{path}.checks[{i}]")
     checks = [dict(node) for node in checks_node]
     estimator = raw.get("estimator", {})
-    if not isinstance(estimator, dict):
-        _fail(f"{path}.estimator", "must be an object")
-    for key in estimator:
-        if key not in _ESTIMATOR:
-            _fail(f"{path}.estimator.{key}", "unknown estimator option")
+    _object(estimator, _ESTIMATOR, f"{path}.estimator")
     x0, max_iter, tol = _fields(_ESTIMATOR, estimator, f"{path}.estimator", dim)
     return Scenario(name, dim, seed, operators, checks, x0, max_iter, tol)
 
@@ -366,10 +372,11 @@ def _ops_for_check(scn: Scenario, params: dict, path: str) -> list[Operator]:
 def run_scenario_checks(scn: Scenario, seed: int | None = None,
                         tol: float | None = None,
                         max_iter: int | None = None) -> list[verify.CheckReport]:
-    """Execute the checks named in the scenario against its operators."""
+    """Execute the checks named in the scenario against its operators, once
+    every check's parameters have parsed."""
     seed = scn.seed if seed is None else seed
     iterative = {"max_iter": scn.max_iter if max_iter is None else max_iter, "iter_tol": scn.tol}
-    reports = []
+    calls = []
     for i, params in enumerate(scn.checks):
         path = f"scenario.checks[{i}]"
         spec = _CHECKS[params["name"]]
@@ -378,9 +385,11 @@ def run_scenario_checks(scn: Scenario, seed: int | None = None,
         if check_tol is not None:
             kw["tol"] = _number(check_tol, f"{path}.tol")
         args = [_ops_for_check(scn, params, path)] if spec.ops else []
-        args += _fields(spec.fields, params, path, scn.dim)
+        calls.append((path, params["name"], args + _fields(spec.fields, params, path, scn.dim), kw))
+    reports = []
+    for path, name, args, kw in calls:
         # looked up at call time, so wrappers installed on ``verify`` see the call
-        check = getattr(verify, f"check_{params['name']}")
+        check = getattr(verify, f"check_{name}")
         try:
             reports.append(check(*args, **kw))
         except ValidationError as exc:

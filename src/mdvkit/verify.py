@@ -9,7 +9,6 @@ mistake a vacuous pass (or an expected counterexample failure) for evidence.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -288,7 +287,7 @@ def check_cocoercive_averaged_equivalence(A: MonotoneAffine, mu: float | None = 
     """
     if not isinstance(A, MonotoneAffine):
         raise ValidationError("expected a MonotoneAffine")
-    mu = cocoercivity_modulus(A)[0] if mu is None else float(mu)
+    mu = cocoercivity_modulus(A) if mu is None else float(mu)
     if not (mu > 0.0) or not np.isfinite(mu):
         raise ValidationError("mu must be positive and finite")
     if samples < 1:
@@ -341,8 +340,8 @@ def check_brezis_haraux_affine(A: MonotoneAffine, B: MonotoneAffine,
             raise ValidationError("expected MonotoneAffine operands")
     if A.dim != B.dim:
         raise ValidationError("operands must share one ambient dimension")
-    mu_a, _ = cocoercivity_modulus(A)
-    mu_b, _ = cocoercivity_modulus(B)
+    mu_a = cocoercivity_modulus(A)
+    mu_b = cocoercivity_modulus(B)
     met = (mu_a > 0.0) or (mu_b > 0.0)
     notes = "" if met else "hypothesis unmet: neither operator certified cocoercive"
     lhs = AffineSubspace._computed(as_vector(A.q + B.q), orthonormal_range_basis(A.Q + B.Q))

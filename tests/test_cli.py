@@ -186,6 +186,30 @@ def test_report_rows_load_every_number_mdvkit_writes(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines()[1:3] == ["x,m,,,inf,-0", "x,m,,,nan,-0"]
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_report_too_deep_to_render_exits_two(fmt, tmp_path, capsys):
+    # json reads a witness 600 arrays deep; the recursive render cannot
+    path = tmp_path / "report.json"
+    path.write_text('{"schema_version": 1, "kind": "verify", "checks": [{"witness": '
+                    + "[" * 600 + "]" * 600 + "}]}")
+    assert main(["report", str(path), "--format", fmt]) == EXIT_INVALID
+    assert capsys.readouterr().err == f"error: {path}: report nested too deeply to render\n"
+
+
+def test_report_text_not_writable_as_utf8_exits_two(tmp_path, capsys):
+    # JSON escapes a lone surrogate; the CSV prints a label as it is
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps({"schema_version": 1, "kind": "estimate",
+                                "estimates": [{"label": "\ud800"}]}))
+    assert main(["report", str(path), "--format", "json"]) == EXIT_OK
+    capsys.readouterr()
+    out = tmp_path / "report.csv"
+    assert main(["report", str(path), "--out", str(out)]) == EXIT_INVALID
+    assert capsys.readouterr().err == (
+        f"error: {path}: text not writable as UTF-8 (surrogates not allowed)\n")
+    assert not out.exists()
+
+
 def test_builtin_suite_deterministic(tmp_path):
     a, b = str(tmp_path / "a.json"), str(tmp_path / "b.json")
     assert main(["verify", "--builtin-suite", "--seed", "7", "--out", a]) == EXIT_OK
@@ -445,6 +469,65 @@ def test_malformed_nodes_exit_two_with_their_path(tmp_path, capsys, command, scn
     err = capsys.readouterr().err
     assert err.startswith("error: " + prefix), err
     assert "Traceback" not in err
+
+
+_HALF = {"halfspace": {"normal": [1.0, 0.0], "offset": 0.0}}
+
+
+@pytest.mark.parametrize(
+    "scn, path",
+    [
+        (_with(speed=9), "scenario.speed"),
+        (_with(operators=[{"affine": {"M": [[1.0, 0.0], [0.0, 1.0]], "b": [0.0, 0.0], "bb": 1}}]),
+         "scenario.operators[0].affine.bb"),
+        (_with(operators=[{"projector": {"halfspace": {**_HALF["halfspace"], "radius": 1}}}]),
+         "scenario.operators[0].projector.halfspace.radius"),
+        (_with(operators=[{"compose": [{"resolvent": {**_A, "step": 1}}]}]),
+         "scenario.operators[0].compose[0].resolvent.step"),
+        (_with(operators=[{"combo": {"weights": [1.0], "parts": [], "mode": 0}}]),
+         "scenario.operators[0].combo.mode"),
+        (_with(checks=[{"name": "cocoercive_averaged_equivalence", "A": _A, "sample": 5}]),
+         "scenario.checks[0].sample"),
+        (_with(checks=[{"name": "noncyclic_counterexample", "u": [1.0, 0.0], "ops": [0]}]),
+         "scenario.checks[0].ops"),
+        (_with(estimator={"speed": 9}), "scenario.estimator.speed"),
+    ],
+    ids=["top-level", "affine-body", "set-body", "monotone-map", "combo-body", "check",
+         "ops-on-a-check-without-operators", "estimator"],
+)
+@pytest.mark.parametrize("command", ["estimate", "verify"])
+def test_unknown_keys_exit_two_with_their_path(tmp_path, capsys, command, scn, path):
+    # refused when the file is loaded, whether or not the command reads the object
+    assert main([command, _dump(tmp_path, scn)]) == EXIT_INVALID
+    assert capsys.readouterr().err == f"error: {path}: unknown key\n"
+
+
+@pytest.mark.parametrize(
+    "check, path",
+    [
+        ({"name": "brezis_haraux_affine", "A": _A, "B": {**_A, "Q2": 0}},
+         "scenario.checks[1].B.Q2"),
+        ({"name": "projected_gradient_bound", **_A, "alpha": 1.0,
+          "set": {"box": {"lo": [0.0, 0.0], "hi": [1.0, 1.0], "mid": [0.5, 0.5]}}},
+         "scenario.checks[1].set.box.mid"),
+    ],
+    ids=["monotone-map", "set-body"],
+)
+def test_unknown_keys_inside_check_fields_stop_verify_before_any_check_runs(
+        tmp_path, capsys, monkeypatch, check, path):
+    # estimate reads no check field; verify parses every check before it runs one
+    monkeypatch.setattr(verify, "check_norm_bound_composition", None)
+    scn = _with(checks=[{"name": "norm_bound_composition"}, check])
+    assert main(["verify", _dump(tmp_path, scn)]) == EXIT_INVALID
+    assert capsys.readouterr().err == f"error: {path}: unknown key\n"
+
+
+def test_checks_take_name_tol_and_ops_besides_their_fields(tmp_path, capsys):
+    scn = _with(checks=[{"name": "norm_bound_composition", "ops": [0, 1], "tol": 1e-6},
+                        {"name": "noncyclic_counterexample", "u": [1.0, 0.0], "tol": 1e-6}])
+    assert main(["verify", _dump(tmp_path, scn)]) == EXIT_OK
+    assert [row["tolerance"] for row in json.loads(capsys.readouterr().out)["checks"]] == [
+        "9.9999999999999995e-07"] * 2
 
 
 @pytest.mark.filterwarnings("error")  # numpy's own warning would expose a source line

@@ -647,7 +647,7 @@ def _assert_cover_holds_displacements(rng, dim, bounded, halfspaces, cone_residu
     # telescoping and weighted sums put x - Tx in the cover for every x,
     # whether or not the parts are averaged
     T = _random_tree(rng, dim, 2, bounded, [halfspaces])
-    cover = disp_mod._cover(T)
+    cover = operators_mod._cover(T)
     if cover is None:
         return  # all of R^dim
     basis = orthonormal_range_basis(cover.span)
@@ -687,29 +687,31 @@ def test_displacements_lie_in_multi_ray_covers(seed, dim, bounded):
 def test_cover_follows_the_leaf_table():
     a, t = np.array([1.0, 2.0, 0.0]), np.array([0.3, -0.1, 0.2])
     half = SetProjector(Halfspace(a, 0.7))
-    cover = disp_mod._cover(Composition([AffineMap.translation(t), half]))
+    cover = operators_mod._cover(Composition([AffineMap.translation(t), half]))
     np.testing.assert_allclose(cover.base, -t)
     assert not cover.span.any()  # a translation's range is the point -t
     np.testing.assert_array_equal(cover.rays, a[:, None])
     # the cover point is the closed form max(0, a.t / |a|^2) a - t
     want = max(0.0, float(a @ t) / float(a @ a)) * a - t
-    p, base_size = disp_mod._cover_point(Composition([half, AffineMap.translation(t)]))
+    gamma = 8.0 * 3 * np.finfo(float).eps
+    p, norm_p, dp = disp_mod._cover_point(Composition([half, AffineMap.translation(t)]), gamma)
     np.testing.assert_allclose(p, want, atol=1e-15)
-    assert base_size == pytest.approx(np.linalg.norm(t))
+    assert norm_p == pytest.approx(np.linalg.norm(want))
+    assert dp == pytest.approx(gamma * (np.linalg.norm(want) + np.linalg.norm(t)))
     # a bounded set anywhere makes the cover all of R^dim
     box = SetProjector(Box(-np.ones(3), np.ones(3)))
-    assert disp_mod._cover(Composition([half, box])) is None
-    assert disp_mod._cover_point(ConvexCombination([0.5, 0.5], [half, box])) is None
+    assert operators_mod._cover(Composition([half, box])) is None
+    assert disp_mod._cover_point(ConvexCombination([0.5, 0.5], [half, box]), gamma) is None
     # a convex combination weights the parts' bases
     shift = AffineMap.translation(t)
     combo = ConvexCombination([0.25, 0.75], [shift, half])
-    np.testing.assert_allclose(disp_mod._cover(combo).base, -0.25 * t)
+    np.testing.assert_allclose(operators_mod._cover(combo).base, -0.25 * t)
     # two rays, or a ray inside the span, leave the origin as the cover point
     other = SetProjector(Halfspace(np.array([0.0, 1.0, 1.0]), 0.1))
-    assert disp_mod._cover_point(Composition([half, shift, other])) is None
+    assert disp_mod._cover_point(Composition([half, shift, other]), gamma) is None
     plane = SetProjector(AffineSet(AffineSubspace(np.zeros(3), np.eye(3)[:, 1:])))
     normal_half = SetProjector(Halfspace(np.eye(3)[0], 0.0))  # its ray lies in the plane's L^perp
-    assert disp_mod._cover_point(Composition([plane, shift, normal_half])) is None
+    assert disp_mod._cover_point(Composition([plane, shift, normal_half]), gamma) is None
 
 
 def _bank_pipelines(seed, dim):

@@ -1,0 +1,46 @@
+"""Every name a module of the package imports is used by that module."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "mdvkit"
+# __init__ imports to re-export
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+def _unused_imports(source: str) -> list[str]:
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.partition(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    # quoted annotations such as -> "Cover | None"
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            note = node.returns
+        elif isinstance(node, (ast.arg, ast.AnnAssign)):
+            note = node.annotation
+        else:
+            continue
+        if isinstance(note, ast.Constant) and isinstance(note.value, str):
+            used |= {n.id for n in ast.walk(ast.parse(note.value, mode="eval"))
+                     if isinstance(n, ast.Name)}
+    return [f"{name} (line {line})" for name, line in imported.items() if name not in used]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_module_uses_every_name_it_imports(path):
+    assert _unused_imports(path.read_text()) == []
+
+
+def test_the_scan_sees_an_unused_import():
+    assert _unused_imports("import math\nimport numpy as np\nx: 'np.ndarray'\n") == [
+        "math (line 1)"]
+    assert _unused_imports("import math\nx = 'math'\n") == ["math (line 1)"]

@@ -294,7 +294,7 @@ def test_reflected_resolvent_regularity_from_cocoercivity():
 def test_reflected_resolvent_with_a_tiny_modulus_is_averaged():
     # mu is about 1e-17 > 0: averaged, although 1 / (1 + mu) rounds to 1
     A = MonotoneAffine([[1e-9, 1e4], [-1e4, 1e-9]], [0.0, 0.0])
-    mu = cocoercivity_modulus(A)[0]
+    mu = cocoercivity_modulus(A)
     assert 0.0 < mu < np.finfo(float).eps and 1.0 / (1.0 + mu) == 1.0
     assert ReflectedResolvent(A).is_averaged
 
@@ -304,13 +304,13 @@ def test_reflected_resolvent_with_a_tiny_modulus_is_averaged():
 
 
 def test_cocoercivity_symmetric_is_inverse_lipschitz():
-    mu, exact = cocoercivity_modulus(MonotoneAffine(np.diag([2.0, 0.5]), [0.0, 0.0]))
-    assert exact and mu == pytest.approx(0.5)
+    mu = cocoercivity_modulus(MonotoneAffine(np.diag([2.0, 0.5]), [0.0, 0.0]))
+    assert mu == pytest.approx(0.5)
 
 
 def test_cocoercivity_zero_matrix_capped():
-    mu, exact = cocoercivity_modulus(MonotoneAffine(np.zeros((2, 2)), [1.0, 0.0]))
-    assert exact and mu == pytest.approx(1e12)
+    mu = cocoercivity_modulus(MonotoneAffine(np.zeros((2, 2)), [1.0, 0.0]))
+    assert mu == pytest.approx(1e12)
 
 
 def test_cocoercivity_nearly_symmetric_tiny_map_is_not_capped():
@@ -320,14 +320,13 @@ def test_cocoercivity_nearly_symmetric_tiny_map_is_not_capped():
     skew = 4.9e-11 * (np.triu(np.ones((n, n)), 1) - np.tril(np.ones((n, n)), -1))
     Q = 5e-11 * np.eye(n) + skew
     assert spectral_norm(Q) > NORM_TOL
-    mu, exact = cocoercivity_modulus(MonotoneAffine(Q, np.zeros(n)))
-    assert exact and mu == pytest.approx(1.0 / 5e-11)
+    mu = cocoercivity_modulus(MonotoneAffine(Q, np.zeros(n)))
+    assert mu == pytest.approx(1.0 / 5e-11)
 
 
 def test_cocoercivity_nonsymmetric_bound_is_conservative():
     A = MonotoneAffine([[1.0, 1.0], [-1.0, 1.0]], [0.0, 0.0])
-    mu, exact = cocoercivity_modulus(A)
-    assert not exact
+    mu = cocoercivity_modulus(A)
     assert mu == pytest.approx(0.5)  # lambda_min(sym)/sigma_max^2 = 1/2
     # the bound must actually certify cocoercivity on samples
     rng = np.random.default_rng(3)
@@ -338,8 +337,8 @@ def test_cocoercivity_nonsymmetric_bound_is_conservative():
 
 
 def test_cocoercivity_skew_is_zero():
-    mu, exact = cocoercivity_modulus(MonotoneAffine([[0.0, 1.0], [-1.0, 0.0]], [0.0, 0.0]))
-    assert mu == 0.0 and not exact
+    mu = cocoercivity_modulus(MonotoneAffine([[0.0, 1.0], [-1.0, 0.0]], [0.0, 0.0]))
+    assert mu == 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -136,6 +136,16 @@ def test_run_scenario_checks_ops_indexing():
         run_scenario_checks(bad)
 
 
+def test_benchmark_scenarios_use_only_declared_keys(monkeypatch):
+    # mdvbench's generated files cover every operator, set and check kind;
+    # a key the tables do not declare would fail every benchmark scenario item
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "mdvbench"))
+    workloads = pytest.importorskip("workloads")
+    for seed in (0, 42):
+        raw = workloads.scenario_dict(np.random.default_rng(seed), 3, "generated")
+        assert len(scenario_from_dict(json.loads(json.dumps(raw))).checks) == 13
+
+
 def test_shipped_scenarios_load_and_run():
     for name in ("two_reflections.json", "projector_mix.json"):
         scn = load_scenario(str(REPO_SCENARIOS / name))
