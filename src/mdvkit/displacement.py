@@ -289,9 +289,11 @@ def _range_point(M, b):
 def _residual_iteration(T, x, max_iter, tol, gamma) -> DisplacementEstimate:
     """Iterate ``T`` if averaged, else ``(Id + T) / 2`` with its residual
     doubled, and stop on a quiet step that :func:`_error_bound` certifies."""
+    apply, sqrt = T._apply, math.sqrt  # locals: the loop pays for the map only
     scale = 1.0 if T.is_averaged else _KM_STEP
-    step = T._apply if T.is_averaged else lambda v: v + _KM_STEP * (T._apply(v) - v)
+    step = apply if T.is_averaged else lambda v: v + scale * (apply(v) - v)
     point = functools.cache(lambda: _cover_point(T, gamma))
+    patience, check_every = _STALL_PATIENCE, _FINITE_CHECK_EVERY
     tx = step(x)
     est = x - tx
     certify = True  # off once a bound reads inf: no later quiet step pays for one
@@ -300,22 +302,27 @@ def _residual_iteration(T, x, max_iter, tol, gamma) -> DisplacementEstimate:
         x = tx
         tx = step(x)
         new_est = x - tx
-        residual = _norm(new_est - est) / scale
+        d = new_est - est
+        residual = sqrt(d @ d) / scale
         est = new_est
-        stall = stall + 1 if residual <= tol else 0
-        if stall and certify:
-            e = est / scale
-            err = _error_bound(e, gamma * (_norm(x) + _norm(tx)) / scale, tol, point)
-            if err <= tol:
-                return DisplacementEstimate(e, residual, iterations, RESIDUAL_ITERATION, True, err)
-            certify = err < math.inf
-        if stall >= _STALL_PATIENCE:
-            break
-        if iterations % _FINITE_CHECK_EVERY == 0:
+        if residual <= tol:  # a quiet step: the only one that certifies or stalls
+            stall += 1
+            if certify:
+                e = est / scale
+                err = _error_bound(e, gamma * (_norm(x) + _norm(tx)) / scale, tol, point)
+                if err <= tol:
+                    return DisplacementEstimate(e, residual, iterations, RESIDUAL_ITERATION,
+                                                True, err)
+                certify = err < math.inf
+            if stall >= patience:
+                break
+        else:
+            stall = 0
+        if not iterations % check_every:
             _check_finite(x)
     _check_finite(est)
     return DisplacementEstimate(est / scale, residual, iterations, RESIDUAL_ITERATION,
-                                stall >= _STALL_PATIENCE)
+                                stall >= patience)
 
 
 def _norm(v: np.ndarray) -> float:

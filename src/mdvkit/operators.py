@@ -5,9 +5,10 @@ vector or an ``(n, dim)`` stack of rows.  Affine leaves keep exact range
 computations available downstream; projector leaves of non-affine sets force
 the iterative fallback.  ``is_averaged`` answers the averagedness hypothesis
 of the composition and convex-combination results: each leaf decides it
-from its own structure (one SVD for an affine map), and a composition or
-convex combination is averaged when every part is.  :func:`_cover` bounds
-each operator's displacement range by the range calculus of the parts.
+from its own structure (one SVD for an affine map that is not a
+translation), and a composition or convex combination is averaged when
+every part is.  :func:`_cover` bounds each operator's displacement range by
+the range calculus of the parts.
 """
 
 from __future__ import annotations
@@ -152,8 +153,12 @@ class AffineMap(Operator):
 
     ``norm`` is the spectral norm of ``M``: the constructor keeps the one it
     computed for validation, and a map built by :func:`flatten_to_affine`
-    computes it on first read.
+    computes it on first read.  A constructed map whose ``M`` is exactly the
+    identity is a translation: it applies as ``x + b`` (``I @ x`` is ``x``,
+    bit for bit, for finite ``x``) and is averaged with no SVD.
     """
+
+    _translation = False
 
     def __init__(self, M, b):
         M = as_matrix(M, square=True)
@@ -163,6 +168,7 @@ class AffineMap(Operator):
             raise ValidationError("affine map is not nonexpansive: spectral norm exceeds one")
         self._set(M, b)
         self.norm = norm
+        self._translation = np.array_equal(M, np.eye(self.dim))
 
     @classmethod
     def _collapsed(cls, M: np.ndarray, b: np.ndarray) -> "AffineMap":
@@ -197,6 +203,8 @@ class AffineMap(Operator):
         return cls(np.eye(offset.size), offset)
 
     def _apply(self, x):
+        if self._translation:
+            return x + self.b
         return _matvec(self.M, x) + self.b
 
     def _affine_pair(self):
@@ -208,8 +216,8 @@ class AffineMap(Operator):
         # has norm at most 1 + (alpha/beta) tol, so averaged at any alpha
         # below ALPHA_CEILING implies averaged at ALPHA_CEILING: one SVD
         # decides, with no norm check, so a collapsed map a rounding above
-        # 1 + NORM_TOL is judged too
-        return _averaged_at(self.M, ALPHA_CEILING)
+        # 1 + NORM_TOL is judged too; the identity is averaged at every alpha
+        return self._translation or _averaged_at(self.M, ALPHA_CEILING)
 
     def __repr__(self):
         return f"AffineMap(dim={self.dim})"
@@ -223,9 +231,7 @@ class SetProjector(Operator):
             raise ValidationError("SetProjector wraps a ConvexSet")
         self.set = set_
         self.dim = set_.dim
-
-    def _apply(self, x):
-        return self.set._project(x)
+        self._apply = set_._project  # no call layer of its own on the iterative route
 
     def _affine_pair(self):
         return self.set._affine_projection()

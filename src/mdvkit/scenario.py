@@ -507,6 +507,7 @@ _DECIMAL = re.compile(r"[+-]?(?:(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?
 _ROW_FIELDS = {
     **dict.fromkeys(_FLAGS, (lambda v: isinstance(v, bool), "true or false")),
     **dict.fromkeys(("check_name", "label", "method"), (lambda v: isinstance(v, str), "a string")),
+    **dict.fromkeys(("seed", "iterations"), (lambda v: type(v) is int, "an integer")),  # not a bool
     **dict.fromkeys(("discrepancy", "tolerance", "residual", "norm"),
                     (lambda v: isinstance(v, str) and _DECIMAL.fullmatch(v) is not None,
                      "a decimal string")),

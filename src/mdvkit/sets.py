@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
 
 import numpy as np
@@ -72,7 +73,7 @@ class Ball(ConvexSet):
         if x.ndim == 2:  # rows within the radius are returned as they are
             n = np.maximum(np.linalg.norm(d, axis=1, keepdims=True), self.radius)
             return np.where(n == self.radius, x, self.center + d * (self.radius / n))
-        n = float(np.linalg.norm(d))
+        n = math.sqrt(d @ d)  # np.linalg.norm of a 1-d vector, bit for bit
         if n <= self.radius:
             return x.copy()
         return self.center + d * (self.radius / n)

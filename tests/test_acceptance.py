@@ -32,7 +32,6 @@ from mdvkit.verify import (
     check_zero_sum_corollary,
     random_averaged_affine,
     random_merely_nonexpansive_affine,
-    random_orthogonal,
     random_projector_translation_mix,
     random_psd_monotone,
 )

@@ -165,6 +165,15 @@ def test_out_into_a_missing_directory_exits_two(command, tmp_path, capsys):
         # a rows key of "schema_version" overrides the valid version 1
         ("verify", "schema_version", True, "not a schema_version=1 report"),
         ("verify", "schema_version", 1.0, "not a schema_version=1 report"),
+        # mdvkit writes seed and iterations as JSON integers
+        ("estimate", "estimates", [{"label": "x", "iterations": {"a": [1, 2]}}],
+         "estimates[0].iterations: expected an integer"),
+        ("estimate", "estimates", [{"label": "x", "iterations": 3.0}],
+         "estimates[0].iterations: expected an integer"),
+        ("verify", "checks", [{"check_name": "x", "seed": True}],
+         "checks[0].seed: expected an integer"),
+        ("verify", "checks", [{"check_name": "x", "seed": "7"}],
+         "checks[0].seed: expected an integer"),
     ],
 )
 @pytest.mark.parametrize("fmt", ["csv", "json"])

@@ -773,3 +773,60 @@ def test_cover_point_bound_certifies_small_vectors(seed):
     # at |t| ~ 1 the floor alone exceeds tol: no certificate, the stall stop
     far = Composition([AffineMap.translation(1e3 * t), half])
     assert displacement_iterative(far, max_iter=20_000, tol=tol).error_bound is None
+
+
+def _residual_route_pipelines(dim, translate=AffineMap.translation):
+    """Fixed pipelines that do not flatten: a halfspace and a translation in
+    both orders (twice), and two of box, ball and halfspace with a translation."""
+    rng = np.random.default_rng(dim)
+    for first in (True, False, True, False):
+        half = SetProjector(Halfspace(rng.standard_normal(dim), float(rng.standard_normal())))
+        push = translate(0.5 * rng.standard_normal(dim))
+        yield Composition([push, half] if first else [half, push])
+    for kinds in (("box", "ball"), ("ball", "halfspace"), ("halfspace", "box")) * 2:
+        center, parts = 0.5 * rng.standard_normal(dim), []
+        for kind in kinds:
+            if kind == "box":
+                parts.append(Box(center - 0.4 - 0.6 * rng.random(dim), center + 0.7))
+            elif kind == "ball":
+                parts.append(Ball(center, 0.5 + float(rng.random())))
+            else:
+                normal = rng.standard_normal(dim)
+                parts.append(Halfspace(normal, float(normal @ center)))
+        parts = [SetProjector(s) for s in parts] + [translate(0.2 * rng.standard_normal(dim))]
+        yield Composition([parts[i] for i in rng.permutation(3)])
+
+
+#: (iterations, converged, certified) of each pipeline at max_iter 20 000, tol
+#: 1e-7, as computed before translations, projectors and the loop took their
+#: fast paths: 4 halfspace-translation stall stops, then the mixes.
+_PINNED = {
+    5: [(65, True, False), (65, True, False), (65, True, False), (66, True, False),
+        (30, True, True), (35, True, True), (40, True, True), (42, True, True),
+        (62, True, True), (74, True, False)],
+    50: [(64, True, False), (66, True, False), (65, True, False), (64, True, False),
+         (24, True, True), (16, True, True), (384, True, True), (25, True, True),
+         (25, True, True), (152, True, False)],
+}
+
+
+@pytest.mark.parametrize("dim", [5, 50])
+def test_residual_route_runs_keep_their_pinned_iterations(dim):
+    runs = [displacement_iterative(T, max_iter=20_000, tol=1e-7)
+            for T in _residual_route_pipelines(dim)]
+    assert [(e.iterations, e.converged, e.error_bound is not None) for e in runs] == _PINNED[dim]
+
+
+@pytest.mark.parametrize("dim", [5, 50])
+def test_translations_on_the_residual_route_match_the_matvec_path_bit_for_bit(dim):
+    # a collapsed map never takes the x + b path, so it replays M @ x + b
+    def matvec(t):
+        return AffineMap._collapsed(np.eye(t.size), t)
+
+    fast = _residual_route_pipelines(dim)
+    for T, slow in zip(fast, _residual_route_pipelines(dim, translate=matvec)):
+        a = displacement_iterative(T, max_iter=20_000, tol=1e-7)
+        b = displacement_iterative(slow, max_iter=20_000, tol=1e-7)
+        assert a.vector.tobytes() == b.vector.tobytes()
+        assert (a.iterations, a.converged, a.residual, a.error_bound) == (
+            b.iterations, b.converged, b.residual, b.error_bound)

@@ -1,13 +1,15 @@
-"""Every name a module of the package imports is used by that module."""
+"""Every name a module of the package or of its tests imports is used by that module."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "mdvkit"
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "mdvkit"
 # __init__ imports to re-export
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+TEST_MODULES = sorted(TESTS.glob("*.py"))
 
 
 def _unused_imports(source: str) -> list[str]:
@@ -35,7 +37,8 @@ def _unused_imports(source: str) -> list[str]:
     return [f"{name} (line {line})" for name, line in imported.items() if name not in used]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+@pytest.mark.parametrize("path", MODULES + TEST_MODULES,
+                         ids=[p.name for p in MODULES] + [f"tests/{p.name}" for p in TEST_MODULES])
 def test_module_uses_every_name_it_imports(path):
     assert _unused_imports(path.read_text()) == []
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mdvkit.errors import NumericalError, ValidationError
+from mdvkit.errors import ValidationError
 from mdvkit.operators import (
     ALPHA_CEILING,
     NORM_TOL,
@@ -480,6 +480,42 @@ def test_one_vector_keeps_its_matvec_arithmetic():
     op = random_averaged_affine(np.random.default_rng(24), 7)
     x = np.random.default_rng(25).standard_normal(7)
     assert np.array_equal(op._apply(x), op.M @ x + op.b)
+
+
+def _spread(rng, shape):
+    """Normal draws over sixteen orders of magnitude, so that sums round."""
+    return rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 8, shape)
+
+
+@pytest.mark.parametrize("build", [AffineMap.translation, lambda b: AffineMap(np.eye(b.size), b)],
+                         ids=["translation", "affine-with-identity"])
+@pytest.mark.parametrize("dim", [1, 5, 50])
+def test_a_translation_applies_as_its_matvec_bit_for_bit(build, dim, monkeypatch):
+    rng = np.random.default_rng(dim)
+    op = build(_spread(rng, dim))
+    x, X = _spread(rng, dim), _spread(rng, (9, dim))
+    assert op._apply(x).tobytes() == (op.M @ x + op.b).tobytes()
+    assert op._apply(X).tobytes() == (X @ op.M.T + op.b).tobytes()
+    # averaged without the SVD of the general test
+    monkeypatch.setattr(operators_mod, "_averaged_at", None)
+    assert op.is_averaged is True
+
+
+def test_an_identity_one_ulp_off_takes_the_general_path():
+    M = np.eye(5)
+    M[2, 2] = np.nextafter(1.0, 0.0)
+    rng = np.random.default_rng(3)
+    op = AffineMap(M, rng.standard_normal(5))
+    x, X = _spread(rng, 5), _spread(rng, (9, 5))
+    assert op._apply(x).tobytes() == (M @ x + op.b).tobytes() != (x + op.b).tobytes()
+    assert op._apply(X).tobytes() == (X @ M.T + op.b).tobytes() != (X + op.b).tobytes()
+    assert op.is_averaged == operators_mod._averaged_at(M, ALPHA_CEILING)
+
+
+def test_a_projector_applies_its_sets_projection_directly():
+    ball = Ball(np.zeros(3), 1.0)
+    assert SetProjector(ball)._apply == ball._project  # no call layer of its own
+    np.testing.assert_array_equal(SetProjector(ball)([3.0, 4.0, 0.0]), ball.project([3.0, 4.0, 0.0]))
 
 
 # ---------------------------------------------------------------------------

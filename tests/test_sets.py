@@ -34,6 +34,19 @@ def test_ball_projection_radial():
         Ball([0.0, 0.0], -1.0)
 
 
+@pytest.mark.parametrize("dim", [1, 5, 50])
+def test_ball_projection_is_the_norm_formula_bit_for_bit(dim):
+    rng = np.random.default_rng(dim)
+    ball = Ball(rng.standard_normal(dim), 0.5 + float(rng.random()))
+    for _ in range(50):
+        v = rng.standard_normal(dim)
+        x = ball.center + ball.radius * (1.0 + 10.0 ** rng.uniform(-6.0, 2.0)) * v / np.linalg.norm(v)
+        d = x - ball.center
+        assert np.linalg.norm(d) > ball.radius
+        want = ball.center + d * (ball.radius / np.linalg.norm(d))
+        assert ball._project(x).tobytes() == want.tobytes()
+
+
 def test_halfspace_projection():
     # {x : x1 <= 1}
     hs = Halfspace([1.0, 0.0], 1.0)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mdvkit import verify
-from mdvkit.displacement import displacement_range_affine, minimal_displacement
+from mdvkit.displacement import displacement_range_affine
 from mdvkit.errors import ValidationError
 from mdvkit.numeric import AffineSubspace, minkowski_sum_affine
 from mdvkit.operators import AffineMap, Composition, MonotoneAffine, SetProjector
