@@ -5,7 +5,6 @@ from .displacement import (
     displacement_exact_affine,
     displacement_iterative,
     displacement_range_affine,
-    membership_in_displacement_range,
     minimal_displacement,
 )
 from .errors import NumericalError, UnsupportedOperatorError, ValidationError
@@ -22,7 +21,6 @@ from .operators import (
     SetProjector,
     cocoercivity_modulus,
     flatten_to_affine,
-    spectral_norm,
 )
 from .sets import AffineSet, Ball, Box, ConvexSet, Halfspace, Singleton, full_space
 from .verify import CheckReport, builtin_suite, run_randomized_suite, suite_passed
@@ -58,12 +56,10 @@ __all__ = [
     "displacement_range_affine",
     "flatten_to_affine",
     "full_space",
-    "membership_in_displacement_range",
     "minimal_displacement",
     "minkowski_sum_affine",
     "orthonormal_range_basis",
     "run_randomized_suite",
-    "spectral_norm",
     "suite_passed",
     "__version__",
 ]

@@ -342,16 +342,3 @@ def minimal_displacement(
         return displacement_exact_affine(T)
     return displacement_iterative(T, x0=x0, max_iter=max_iter, tol=tol)
 
-
-def membership_in_displacement_range(T: Operator, y, tol: float = 1e-8) -> bool:
-    """Whether ``y`` lies in the displacement range of affine ``T`` within ``tol``.
-
-    Decided by the distance of ``y`` from the cached range of
-    :func:`displacement_range_affine`; in finite dimension the range is
-    closed, so membership and attainment coincide.
-    """
-    rng_space = displacement_range_affine(T)
-    y = as_vector(y, T.dim)
-    if not tol >= 0:
-        raise ValidationError("tolerance must be nonnegative")
-    return rng_space.contains(y, tol)

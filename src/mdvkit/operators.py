@@ -33,13 +33,8 @@ ALPHA_CEILING = 1.0 - 1e-6
 MU_CAP = 1e12
 
 
-def spectral_norm(M) -> float:
-    """Largest singular value of ``M`` (the same LAPACK call as ``norm(M, 2)``)."""
-    return _spectral_norm(as_matrix(M))
-
-
 def _spectral_norm(M: np.ndarray) -> float:
-    """:func:`spectral_norm` of a matrix already known to be finite and 2-d."""
+    """Largest singular value of a finite 2-d ``M`` (the same LAPACK call as ``norm(M, 2)``)."""
     return float(np.linalg.svd(M, compute_uv=False)[0])
 
 
@@ -151,11 +146,9 @@ class Operator:
 class AffineMap(Operator):
     """Affine map ``x -> Mx + b`` with spectral norm of M at most one.
 
-    ``norm`` is the spectral norm of ``M``: the constructor keeps the one it
-    computed for validation, and a map built by :func:`flatten_to_affine`
-    computes it on first read.  A constructed map whose ``M`` is exactly the
-    identity is a translation: it applies as ``x + b`` (``I @ x`` is ``x``,
-    bit for bit, for finite ``x``) and is averaged with no SVD.
+    A constructed map whose ``M`` is exactly the identity is a translation:
+    it is validated and averaged with no SVD, and applies as ``x + b``
+    (``I @ x`` is ``x``, bit for bit, for finite ``x``).
     """
 
     _translation = False
@@ -163,12 +156,11 @@ class AffineMap(Operator):
     def __init__(self, M, b):
         M = as_matrix(M, square=True)
         b = as_vector(b, M.shape[0])
-        norm = _spectral_norm(M)
-        if norm > 1.0 + NORM_TOL:
+        translation = np.array_equal(M, np.eye(M.shape[0]))
+        if not translation and _spectral_norm(M) > 1.0 + NORM_TOL:
             raise ValidationError("affine map is not nonexpansive: spectral norm exceeds one")
         self._set(M, b)
-        self.norm = norm
-        self._translation = np.array_equal(M, np.eye(self.dim))
+        self._translation = translation
 
     @classmethod
     def _collapsed(cls, M: np.ndarray, b: np.ndarray) -> "AffineMap":
@@ -187,10 +179,6 @@ class AffineMap(Operator):
         self.M = M
         self.b = b
         self.dim = M.shape[0]
-
-    @cached_property
-    def norm(self) -> float:
-        return _spectral_norm(self.M)
 
     @classmethod
     def identity(cls, dim: int) -> "AffineMap":
@@ -488,7 +476,7 @@ def flatten_to_affine(T: Operator) -> AffineMap | None:
     collapsed ``M`` or ``b`` that is not finite (an overflow), raises
     ``NumericalError``; only agreement is cached.  The parts were validated
     nonexpansive when they were built, so the collapsed map is not validated
-    again, and its ``norm`` is computed on first read.
+    again.
     """
     if not isinstance(T, Operator):
         raise ValidationError("flatten_to_affine expects an Operator")

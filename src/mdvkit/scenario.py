@@ -257,11 +257,6 @@ _OPERATORS = {
 _operator = partial(_tagged, _OPERATORS, "operator")
 
 
-def operator_from_spec(node, dim: int, path: str = "operator") -> Operator:
-    """Operator grammar: affine, projector, compose, combo, resolvent, reflected, gradstep."""
-    return _operator(node, path, dim)
-
-
 class _Check(NamedTuple):
     """Fields in ``verify.check_<name>`` argument order (after the operators when
     ``ops``); ``iterative`` checks also take the estimator's max_iter and tol."""
@@ -279,7 +274,7 @@ _CHECKS = {
     "noncyclic_counterexample": _Check({"u": _vector}),
     "three_op_closed_form": _Check({"deltas": _integers, "a": _rows}),
     "convex_combination": _Check({"weights": _numbers}, ops=True, iterative=True),
-    "zero_sum_corollary": _Check({"weights": _numbers}, ops=True),
+    "zero_sum_corollary": _Check({"weights": _numbers}, ops=True, iterative=True),
     "cocoercive_averaged_equivalence": _Check(
         {"A": _monotone, "mu": _optional(_number), "samples": _optional(_count, 1000)}),
     "brezis_haraux_affine": _Check({"A": _monotone, "B": _monotone}),

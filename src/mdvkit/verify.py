@@ -33,9 +33,9 @@ from .operators import (
     ReflectedResolvent,
     Resolvent,
     SetProjector,
+    _spectral_norm,
     cocoercivity_modulus,
     flatten_to_affine,
-    spectral_norm,
 )
 from .sets import Ball, Box, ConvexSet, Halfspace, full_space
 
@@ -255,11 +255,13 @@ def check_convex_combination(ops, weights, tol: float = EXACT_TOL, seed: int = 0
                  seed=seed, notes=notes)
 
 
-def check_zero_sum_corollary(ops, weights, tol: float = 1e-8, seed: int = 0) -> CheckReport:
+def check_zero_sum_corollary(ops, weights, tol: float = 1e-8, seed: int = 0,
+                             max_iter: int = disp.DEFAULT_MAX_ITER,
+                             iter_tol: float = disp.DEFAULT_TOL) -> CheckReport:
     """If the weighted part mdvs cancel, the combination's mdv vanishes."""
     ops = _as_operator_list(ops)
     weights = as_vector(weights, len(ops))
-    mdvs = [disp.minimal_displacement(op).vector for op in ops]
+    mdvs = [disp.minimal_displacement(op, max_iter=max_iter, tol=iter_tol).vector for op in ops]
     cancel = np.zeros(ops[0].dim)
     for w, v in zip(weights, mdvs):
         cancel += w * v
@@ -268,7 +270,8 @@ def check_zero_sum_corollary(ops, weights, tol: float = 1e-8, seed: int = 0) -> 
     notes = "" if met else (
         f"hypothesis unmet: weighted mdvs sum to norm {cancel_norm:.3e}, expected 0"
     )
-    v_combo = disp.minimal_displacement(ConvexCombination(weights, ops)).vector
+    v_combo = disp.minimal_displacement(ConvexCombination(weights, ops), max_iter=max_iter,
+                                        tol=iter_tol).vector
     d = float(np.linalg.norm(v_combo))
     return _make("zero_sum_corollary", v_combo, np.zeros(ops[0].dim), d, tol,
                  witness={"weighted_mdv_sum_norm": cancel_norm}, seed=seed,
@@ -452,7 +455,7 @@ def random_averaged_affine(rng: np.random.Generator, dim: int,
                            norm: float = 0.95, shift_scale: float = 0.2) -> AffineMap:
     """Random affine map rescaled to the given spectral norm (averaged for norm < 1)."""
     g = rng.standard_normal((dim, dim))
-    M = (norm / spectral_norm(g)) * g
+    M = (norm / _spectral_norm(g)) * g
     return AffineMap(M, shift_scale * rng.standard_normal(dim))
 
 

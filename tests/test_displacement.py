@@ -16,7 +16,6 @@ from mdvkit.displacement import (
     displacement_exact_affine,
     displacement_iterative,
     displacement_range_affine,
-    membership_in_displacement_range,
     minimal_displacement,
 )
 from mdvkit.errors import NumericalError, UnsupportedOperatorError, ValidationError
@@ -189,11 +188,16 @@ def test_exact_route_factorizes_once(monkeypatch):
     calls = _count_svds(monkeypatch)
     displacement_exact_affine(op)
     assert len(calls) == 1  # the range basis; the collapsed map is not re-validated
-    flat = flatten_to_affine(op)
-    assert flat.norm == pytest.approx(0.5)
-    assert len(calls) == 2
-    assert flat.norm == pytest.approx(0.5)
-    assert len(calls) == 2
+
+
+def test_a_translation_is_validated_without_an_svd(monkeypatch):
+    calls = _count_svds(monkeypatch)
+    for shift in (AffineMap.translation([0.1, 0.2, 0.3]), AffineMap(np.eye(3), np.ones(3))):
+        assert shift.is_averaged
+    assert len(calls) == 0
+    with pytest.raises(ValidationError, match="spectral norm exceeds one"):
+        AffineMap(np.diag([1.0, 1.0 + 1e-9, 1.0]), np.ones(3))
+    assert len(calls) == 1
 
 
 def _turns(angles, scale):
@@ -218,22 +222,17 @@ def test_powers_of_a_map_within_the_norm_slack_stay_exact(k):
 def test_a_power_past_the_norm_slack_is_merely_nonexpansive():
     op = AffineMap(_turns([0.3, 1.1], 1.0 + 0.9e-10), np.ones(4))
     flat = flatten_to_affine(Composition([op] * 3))
-    assert flat.norm > 1.0 + NORM_TOL  # compounded rounding past the constructor's slack
+    # compounded rounding past the constructor's slack
+    assert np.linalg.norm(flat.M, 2) > 1.0 + NORM_TOL
     assert not flat.is_averaged
 
 
 def test_membership_in_displacement_range():
-    shift = AffineMap.translation([0.3, -0.1])
-    assert membership_in_displacement_range(shift, [-0.3, 0.1])
-    assert not membership_in_displacement_range(shift, [-0.3, 0.2])
-    reflection = _reflection([1.0, 1.0])
-    assert membership_in_displacement_range(reflection, [40.0, -2.0])  # full range
-
-
-@pytest.mark.parametrize("tol", [-1.0, math.nan])
-def test_membership_rejects_negative_and_nan_tolerance(tol):
-    with pytest.raises(ValidationError):
-        membership_in_displacement_range(AffineMap.translation([0.3, -0.1]), [-0.3, 0.1], tol=tol)
+    shift = displacement_range_affine(AffineMap.translation([0.3, -0.1]))
+    assert shift.distance([-0.3, 0.1]) <= 1e-8
+    assert shift.distance([-0.3, 0.2]) > 1e-8
+    reflection = displacement_range_affine(_reflection([1.0, 1.0]))
+    assert reflection.distance([40.0, -2.0]) <= 1e-8  # full range
 
 
 # ---------------------------------------------------------------------------

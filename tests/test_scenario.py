@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from mdvkit import displacement as disp_mod
 from mdvkit.displacement import minimal_displacement
 from mdvkit.errors import ValidationError
 from mdvkit.numeric import AffineSubspace
@@ -22,7 +23,6 @@ from mdvkit.scenario import (
     fmt_float,
     load_report,
     load_scenario,
-    operator_from_spec,
     report_to_csv,
     run_scenario_checks,
     scenario_from_dict,
@@ -100,7 +100,7 @@ def test_operator_grammar_all_kinds():
         {"reflected": {"Q": [[0.0, 0.0], [0.0, 0.0]], "q": [0.2, 0.0]}},
         {"gradstep": {"Q": [[1.0, 0.0], [0.0, 1.0]], "q": [0.0, 0.0], "step": 0.5}},
     ]}
-    op = operator_from_spec(node, 2)
+    op, = scenario_from_dict({"dim": 2, "operators": [node]}).operators
     assert isinstance(op, Composition) and len(op.parts) == 8
     y = op([0.3, -0.4])
     assert np.all(np.isfinite(y))
@@ -134,6 +134,27 @@ def test_run_scenario_checks_ops_indexing():
     })
     with pytest.raises(ValidationError, match="ops"):
         run_scenario_checks(bad)
+
+
+def test_zero_sum_corollary_takes_the_estimator_block(monkeypatch):
+    # parts that do not flatten take the iterative route, with the scenario's budget
+    def clipped_shift(dx):
+        return {"compose": [{"projector": {"ball": {"center": [0.0, 0.0], "radius": 1.0}}},
+                            {"affine": {"M": [[1.0, 0.0], [0.0, 1.0]], "b": [dx, 0.0]}}]}
+
+    scn = scenario_from_dict({
+        "dim": 2, "seed": 1,
+        "operators": [clipped_shift(0.5), clipped_shift(-0.5)],
+        "checks": [{"name": "zero_sum_corollary", "weights": [0.5, 0.5]}],
+        "estimator": {"max_iter": 9, "tol": 1e-12},
+    })
+    seen = []
+    estimate = disp_mod.minimal_displacement
+    monkeypatch.setattr(disp_mod, "minimal_displacement",
+                        lambda T, **kw: seen.append(kw) or estimate(T, **kw))
+    report, = run_scenario_checks(scn)
+    assert report.passed
+    assert seen == [{"max_iter": 9, "tol": 1e-12}] * 3  # both parts and their combination
 
 
 def test_benchmark_scenarios_use_only_declared_keys(monkeypatch):
