@@ -6,11 +6,12 @@ fixed-point problem for ``T`` is.  For operators that flatten to an affine map
 the range is an affine subspace and everything is exact.  The iterative route
 evaluates such a map at two proposed points at most: its fixed point from one
 LU solve, and failing that a point whose displacement is the vector itself,
-from one SVD that decides the rank as the exact route does.  Other operators
-are estimated by the residual ``x_n - T x_n`` of a fixed-point iteration.
-Averaged maps iterate ``T`` itself.  Merely nonexpansive ones iterate the
-Krasnosel'skii-Mann relaxation ``(Id + T) / 2``, which is averaged and whose
-minimal displacement vector is half that of ``T`` (Baillon-Bruck-Reich 1978).
+from the one cached SVD of ``I - M`` that gives the exact route its range,
+so one rank decision serves both routes.  Other operators are estimated by
+the residual ``x_n - T x_n`` of a fixed-point iteration.  Averaged maps
+iterate ``T`` itself.  Merely nonexpansive ones iterate the Krasnosel'skii-Mann
+relaxation ``(Id + T) / 2``, which is averaged and whose minimal displacement
+vector is half that of ``T`` (Baillon-Bruck-Reich 1978).
 The iteration stops once :func:`_error_bound` certifies a residual within
 ``tol`` of the vector, by the range calculus of compositions and convex
 combinations (:func:`mdvkit.operators._cover`).
@@ -100,23 +101,12 @@ def displacement_range_affine(T: Operator) -> AffineSubspace:
     """Affine-subspace representation of ``{x - T x : x}`` for affine ``T``.
 
     The displacement map of ``x -> Mx + b`` is ``x -> (I - M) x - b``, so the
-    range is the column space of ``I - M`` through the point ``-b``.  One SVD
-    of ``I - M``, cached on the operator, is the exact route's only rank
-    decision (the iterative route ranks by the same rule);
-    :func:`flatten_to_affine` already cross-checked ``(M, b)``.
+    range is the column space of ``I - M`` through the point ``-b``, read from
+    the operator's one cached SVD of ``I - M`` (:func:`_affine_solve`), which
+    is both routes' only rank decision; :func:`flatten_to_affine` already
+    cross-checked ``(M, b)``.
     """
-    cached = getattr(T, "_range_cache", None)
-    if cached is not None:
-        return cached
-    flat = flatten_to_affine(T)
-    if flat is None:
-        raise UnsupportedOperatorError(
-            "operator does not flatten to an affine map; use displacement_iterative"
-        )
-    span = orthonormal_range_basis(np.eye(T.dim) - flat.M, floor=_RANGE_FLOOR * T.dim)
-    rng_space = AffineSubspace._computed(-flat.b, span)
-    T._range_cache = rng_space
-    return rng_space
+    return _affine_solve(T)[0]
 
 
 def displacement_exact_affine(T: Operator) -> DisplacementEstimate:
@@ -138,8 +128,8 @@ def displacement_iterative(
 
     When ``T`` flattens to ``x -> Mx + b``, two points at most are evaluated,
     one iteration each of ``T_half = (Id + T) / 2``: the LU-solved fixed point
-    of ``T_half``, then ``V_k S_k^-1 U_k^T b`` from one SVD of ``I - M``
-    ranked as on the exact route, whose displacement is that route's ``v``.
+    of ``T_half``, then ``V_k S_k^-1 U_k^T b`` from the exact route's cached
+    SVD of ``I - M``, whose displacement is that route's ``v``.
     The first whose doubled residual ``e`` is certified by ``|e|`` or
     ``|e - v|``, each with an allowance for rounding, is returned with
     ``error_bound``; if neither is, the last one evaluated is returned with
@@ -182,9 +172,8 @@ def displacement_iterative(
     M, b = flat.M, flat.b
     M_h = (1.0 - _KM_STEP) * np.eye(T.dim) + _KM_STEP * M
     b_h = _KM_STEP * b
-    solved = functools.cache(lambda: _range_point(M, b))  # the one SVD of I - M
     spent = 0
-    for propose in (lambda: _fixed_point(M_h, b_h), lambda: solved()[0]):
+    for propose in (lambda: _fixed_point(M_h, b_h), lambda: _affine_solve(T)[1]):
         if (x_hat := propose()) is None:
             continue
         spent += 1
@@ -193,7 +182,7 @@ def displacement_iterative(
         e = r_hat / _KM_STEP
         err = _error_bound(e, gamma * (_norm(x_hat) + _norm(tx_hat)) / _KM_STEP, tol, lambda: None)
         if not err <= tol:  # bound 2 allows gamma (|v| + |b|) for v's rounding
-            v = solved()[1]
+            v = displacement_exact_affine(T).vector
             err = _norm(e - v) + gamma * (_norm(v) + _norm(b))
         if err <= tol or spent == max_iter:
             break
@@ -276,14 +265,25 @@ def _fixed_point(M, b):
     return x if np.isfinite(x).all() else None
 
 
-def _range_point(M, b):
-    """``(x, v)`` from one SVD of ``I - M`` ranked by the exact route's rule:
-    the vector ``v = -b + U_k U_k^T b`` of ``x -> Mx + b``, and ``x = V_k
-    S_k^-1 U_k^T b``, whose displacement ``(I - M) x - b`` is ``v``."""
-    u, s, vt = np.linalg.svd(np.eye(b.size) - M, full_matrices=False)
-    k = _rank(s, floor=_RANGE_FLOOR * b.size)
-    c = u[:, :k].T @ b
-    return vt[:k].T @ (c / s[:k]), u[:, :k] @ c - b
+def _affine_solve(T: Operator) -> tuple[AffineSubspace, np.ndarray]:
+    """``(range, x)`` from one SVD ``U S V^T`` of ``I - M``, cached on ``T``:
+    the range ``-b + span U_k`` and ``x = V_k S_k^-1 U_k^T b``, whose
+    displacement ``(I - M) x - b`` is the range's point nearest the origin."""
+    cached = getattr(T, "_solve_cache", None)
+    if cached is not None:
+        return cached
+    flat = flatten_to_affine(T)
+    if flat is None:
+        raise UnsupportedOperatorError(
+            "operator does not flatten to an affine map; use displacement_iterative"
+        )
+    u, s, vt = np.linalg.svd(np.eye(T.dim) - flat.M, full_matrices=False)
+    k = _rank(s, floor=_RANGE_FLOOR * T.dim)
+    c = u[:, :k].T @ flat.b
+    x = vt[:k].T @ (c / s[:k])
+    x.setflags(write=False)
+    T._solve_cache = (AffineSubspace._computed(-flat.b, u[:, :k].copy()), x)
+    return T._solve_cache
 
 
 def _residual_iteration(T, x, max_iter, tol, gamma) -> DisplacementEstimate:

@@ -146,9 +146,6 @@ class AffineSubspace:
     def _distance(self, y: np.ndarray) -> float:
         return float(np.linalg.norm(y - self._project(y)))
 
-    def contains(self, y, tol: float = 1e-8) -> bool:
-        return self.distance(y) <= tol
-
     def scaled(self, factor: float) -> "AffineSubspace":
         """The set ``{factor * s}``; for factor 0 this is the origin singleton."""
         factor = float(factor)

@@ -28,9 +28,6 @@ class ConvexSet(ABC):
         x = as_vector(x, self.dim)
         return float(np.linalg.norm(x - self._project(x)))
 
-    def contains(self, x, tol: float = 1e-8) -> bool:
-        return self.distance(x) <= tol
-
     def _affine_projection(self) -> tuple[np.ndarray, np.ndarray] | None:
         """``(P, c)`` with ``project(x) == P @ x + c``, or None when not affine."""
         return None
@@ -122,7 +119,7 @@ class AffineSet(ConvexSet):
 
     def _project(self, x):
         if x.ndim == 1:
-            return self.subspace.project(x)
+            return self.subspace._project(x)
         base, basis = self.subspace.base, self.subspace.basis
         return base + ((x - base) @ basis) @ basis.T
 
