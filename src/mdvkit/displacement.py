@@ -112,10 +112,17 @@ def displacement_range_affine(T: Operator) -> AffineSubspace:
 def displacement_exact_affine(T: Operator) -> DisplacementEstimate:
     """Exact minimal displacement vector of an affine-flattenable operator:
     the projection of the origin onto the (closed, so attained) cached range.
+    The estimate is cached on ``T``, its vector read-only.
     """
+    cached = getattr(T, "_exact_cache", None)
+    if cached is not None:
+        return cached
     rng_space = displacement_range_affine(T)
     vector = rng_space._project(np.zeros(T.dim))
-    return DisplacementEstimate(vector, rng_space._distance(vector), 0, EXACT_AFFINE, True)
+    vector.setflags(write=False)
+    T._exact_cache = DisplacementEstimate(vector, rng_space._distance(vector), 0, EXACT_AFFINE,
+                                          True)
+    return T._exact_cache
 
 
 def displacement_iterative(
@@ -268,7 +275,9 @@ def _fixed_point(M, b):
 def _affine_solve(T: Operator) -> tuple[AffineSubspace, np.ndarray]:
     """``(range, x)`` from one SVD ``U S V^T`` of ``I - M``, cached on ``T``:
     the range ``-b + span U_k`` and ``x = V_k S_k^-1 U_k^T b``, whose
-    displacement ``(I - M) x - b`` is the range's point nearest the origin."""
+    displacement ``(I - M) x - b`` is the range's point nearest the origin.
+    An exactly zero ``I - M`` (a translation, or a composition of them) has
+    rank 0 with no SVD: the singleton ``{-b}`` and ``x = 0``, as the SVD gives."""
     cached = getattr(T, "_solve_cache", None)
     if cached is not None:
         return cached
@@ -277,12 +286,16 @@ def _affine_solve(T: Operator) -> tuple[AffineSubspace, np.ndarray]:
         raise UnsupportedOperatorError(
             "operator does not flatten to an affine map; use displacement_iterative"
         )
-    u, s, vt = np.linalg.svd(np.eye(T.dim) - flat.M, full_matrices=False)
-    k = _rank(s, floor=_RANGE_FLOOR * T.dim)
-    c = u[:, :k].T @ flat.b
-    x = vt[:k].T @ (c / s[:k])
+    displacement = np.eye(T.dim) - flat.M
+    if displacement.any():
+        u, s, vt = np.linalg.svd(displacement, full_matrices=False)
+        k = _rank(s, floor=_RANGE_FLOOR * T.dim)
+        basis = u[:, :k].copy()
+        x = vt[:k].T @ ((u[:, :k].T @ flat.b) / s[:k])
+    else:
+        basis, x = np.zeros((T.dim, 0)), np.zeros(T.dim)
     x.setflags(write=False)
-    T._solve_cache = (AffineSubspace._computed(-flat.b, u[:, :k].copy()), x)
+    T._solve_cache = (AffineSubspace._computed(-flat.b, basis), x)
     return T._solve_cache
 
 
@@ -336,9 +349,12 @@ def minimal_displacement(
     tol: float = DEFAULT_TOL,
 ) -> DisplacementEstimate:
     """Exact estimate when the operator flattens to affine, iterative otherwise;
-    ``max_iter`` and ``tol`` are validated on both routes."""
+    ``x0``, ``max_iter`` and ``tol`` are validated on both routes."""
     _check_budget(max_iter, tol)
-    if flatten_to_affine(T) is not None:
+    flat = flatten_to_affine(T)
+    if x0 is not None:
+        as_vector(x0, T.dim)
+    if flat is not None:
         return displacement_exact_affine(T)
     return displacement_iterative(T, x0=x0, max_iter=max_iter, tol=tol)
 

@@ -53,7 +53,8 @@ def fmt_float(x: float) -> str:
 def stringify_numbers(obj):
     """The one walk from computed values to report JSON: floats become 17-digit
     decimal strings, ints and bools stay, arrays and tuples become lists, and an
-    ``AffineSubspace`` becomes ``{"base": [...], "rank": k}``."""
+    ``AffineSubspace`` becomes ``{"base": [...], "rank": k}``.  :func:`dumps_report`
+    writes the JSON text of this walk without building it."""
     if isinstance(obj, bool):
         return obj
     if isinstance(obj, (int, np.integer)):
@@ -389,6 +390,7 @@ def run_scenario_checks(scn: Scenario, seed: int | None = None,
             reports.append(check(*args, **kw))
         except ValidationError as exc:
             raise ValidationError(f"{path}: {exc}") from exc
+    verify._composed.cache_clear()
     return reports
 
 
@@ -453,8 +455,59 @@ def estimate_payload(name: str, seed: int, entries: list[dict]) -> dict:
 
 
 def dumps_report(payload: dict) -> str:
-    """Canonical report text: sorted keys, stringified floats, trailing newline."""
-    return json.dumps(stringify_numbers(payload), indent=2, sort_keys=True) + "\n"
+    """Canonical report text: sorted keys, stringified floats, trailing newline;
+    ``json.dumps(stringify_numbers(payload), indent=2, sort_keys=True)``,
+    written in one pass by :func:`_report_text`."""
+    return _report_text(payload, "\n", _TEXT_DEPTH) + "\n"
+
+
+#: Container levels :func:`_report_text` writes itself, enough for every
+#: report mdvkit writes; deeper values take the ``json`` path, whose recursion
+#: limit then decides, as it does for the whole text.
+_TEXT_DEPTH = 8
+_quoted = json.encoder.encode_basestring_ascii
+_STR = frozenset({str})
+#: Text of a value of exactly these types, as :func:`stringify_numbers` and
+#: ``json.dumps`` write it.
+_LEAF = {
+    str: _quoted,
+    float: '"{:.17g}"'.format,  # fmt_float, quoted
+    int: int.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): {None: "null"}.__getitem__,
+}
+
+
+def _report_text(obj, pad: str, depth: int) -> str:
+    """``obj`` as the indent-2 JSON text of ``stringify_numbers(obj)``, at the
+    indentation ``pad`` (a newline and the current level's spaces).  Values of
+    exactly the types mdvkit writes (str, float, int, bool, None, 1-d float64
+    arrays, ``AffineSubspace``, lists, tuples and str-keyed dicts) are written
+    here; any other value, and every value ``depth`` levels down, through
+    ``json.dumps`` with its newlines indented."""
+    kind = type(obj)
+    if (leaf := _LEAF.get(kind)) is not None:
+        return leaf(obj)
+    if depth:
+        inner, get, depth = pad + "  ", _LEAF.get, depth - 1
+        if kind is dict and _STR.issuperset(map(type, obj)):
+            items = [_quoted(k) + ": " + (leaf(v) if (leaf := get(type(v))) is not None
+                                          else _report_text(v, inner, depth))
+                     for k, v in sorted(obj.items())]
+            return "{" + inner + ("," + inner).join(items) + pad + "}" if items else "{}"
+        if kind is list or kind is tuple:
+            items = [leaf(v) if (leaf := get(type(v))) is not None
+                     else _report_text(v, inner, depth) for v in obj]
+        elif kind is np.ndarray and obj.ndim == 1 and obj.dtype == np.float64:
+            items = list(map(_LEAF[float], obj.tolist()))
+        elif kind is AffineSubspace:
+            return ("{" + inner + '"base": ' + _report_text(obj.base, inner, depth) + ","
+                    + inner + f'"rank": {obj.rank}' + pad + "}")
+        else:
+            items = None
+        if items is not None:
+            return "[" + inner + ("," + inner).join(items) + pad + "]" if items else "[]"
+    return json.dumps(stringify_numbers(obj), indent=2, sort_keys=True).replace("\n", pad)
 
 
 def write_atomic(path: str, text: str) -> None:

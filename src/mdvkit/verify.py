@@ -9,6 +9,7 @@ mistake a vacuous pass (or an expected counterexample failure) for evidence.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,6 +103,16 @@ def _as_operator_list(ops) -> list[Operator]:
     return ops
 
 
+@functools.lru_cache(maxsize=8)
+def _composed(parts: tuple) -> Composition:
+    """One ``Composition`` per tuple of part objects (innermost first), so that
+    the composition checks of one instance flatten and solve it once (an
+    instance asks for at most ``len(ops) + 1`` orders);
+    :func:`builtin_suite` and :func:`mdvkit.scenario.run_scenario_checks`
+    clear it when they return."""
+    return Composition(parts)
+
+
 def _composition_hypothesis(ops) -> tuple[bool, str]:
     averaged = sum(1 for op in ops if op.is_averaged)
     met = averaged >= len(ops) - 1
@@ -116,7 +127,7 @@ def check_range_formula_composition(ops, tol: float = EXACT_TOL, seed: int = 0) 
     """Displacement range of a composition vs Minkowski sum of part ranges."""
     ops = _as_operator_list(ops)
     met, notes = _composition_hypothesis(ops)
-    lhs = disp.displacement_range_affine(Composition(ops))
+    lhs = disp.displacement_range_affine(_composed(tuple(ops)))
     rhs = disp.displacement_range_affine(ops[0])
     for op in ops[1:]:
         rhs = minkowski_sum_affine(rhs, disp.displacement_range_affine(op))
@@ -132,8 +143,8 @@ def check_permutation_displacement(ops, sigma, tol: float = EXACT_TOL, seed: int
     if sorted(sigma) != list(range(len(ops))):
         raise ValidationError("sigma must be a permutation of the operator indices")
     met, notes = _composition_hypothesis(ops)
-    base = disp.displacement_exact_affine(Composition(ops)).vector
-    permuted = disp.displacement_exact_affine(Composition([ops[i] for i in sigma])).vector
+    base, permuted = (disp.displacement_exact_affine(_composed(parts)).vector
+                      for parts in (tuple(ops), tuple(ops[i] for i in sigma)))
     d = float(np.linalg.norm(base - permuted))
     return _make("permutation_displacement", base, permuted, d, tol,
                  witness=sigma, seed=seed, hypothesis_met=met, notes=notes)
@@ -143,7 +154,7 @@ def check_norm_bound_composition(ops, tol: float = EXACT_TOL, seed: int = 0) -> 
     """Norm of the composed mdv is at most the sum of the part mdv norms."""
     ops = _as_operator_list(ops)
     met, notes = _composition_hypothesis(ops)
-    lhs = disp.displacement_exact_affine(Composition(ops)).norm
+    lhs = disp.displacement_exact_affine(_composed(tuple(ops))).norm
     rhs = float(sum(disp.displacement_exact_affine(op).norm for op in ops))
     d = max(0.0, lhs - rhs)
     return _make("norm_bound_composition", lhs, rhs, d, tol,
@@ -157,7 +168,7 @@ def check_cyclic_norm(ops, tol: float = EXACT_TOL, seed: int = 0,
     ops = _as_operator_list(ops)
     norms = []
     for k in range(len(ops)):
-        shifted = Composition(ops[k:] + ops[:k])
+        shifted = _composed(tuple(ops[k:] + ops[:k]))
         est = disp.minimal_displacement(shifted, max_iter=max_iter, tol=iter_tol)
         norms.append(est.norm)
     d = max(norms) - min(norms)
@@ -656,6 +667,7 @@ def builtin_suite(seed: int = 42, dim: int = 5, randomized_count: int = 100,
         np.zeros((2, 2)), e1, full_space(2), alpha=1.0, tol=1e-6, L=1.0, seed=seed))
     reports.append(check_projected_gradient_bound(
         np.zeros((2, 2)), e1, Halfspace(-e1, 0.0), alpha=1.0, tol=ITERATIVE_TOL, L=1.0, seed=seed))
+    _composed.cache_clear()
     return reports
 
 

@@ -581,6 +581,45 @@ def test_minimal_displacement_validates_budget_on_both_routes(op):
     assert minimal_displacement(op, max_iter=np.int64(5), tol=np.float64(1e-3)).iterations <= 5
 
 
+@pytest.mark.parametrize("op", [AffineMap.translation([0.1, 0.2, 0.3]),
+                                SetProjector(Ball([0.0, 0.0, 0.0], 1.0))],
+                         ids=["exact_route", "iterative_route"])
+def test_minimal_displacement_validates_x0_on_both_routes(op):
+    with pytest.raises(ValidationError, match="dimension mismatch: expected 3, got 2"):
+        minimal_displacement(op, x0=[1.0, 2.0])
+    with pytest.raises(ValidationError, match="vector entries must be finite"):
+        minimal_displacement(op, x0=[1.0, math.nan, 0.0])
+    assert minimal_displacement(op, x0=[1.0, 2.0, 3.0]).converged
+
+
+def test_exact_estimate_is_cached_with_a_read_only_vector():
+    op = Composition([_reflection([0.5, 0.5]), AffineMap(0.5 * np.eye(2), [1.0, 0.0])])
+    est = displacement_exact_affine(op)
+    assert displacement_exact_affine(op) is est and minimal_displacement(op) is est
+    assert not est.vector.flags.writeable
+    with pytest.raises(ValueError):
+        est.vector[0] = 1.0
+
+
+def test_a_zero_displacement_matrix_takes_no_svd(monkeypatch):
+    # I - M of composed translations is exactly zero: rank 0, base -b, x = 0,
+    # the bytes the SVD of the zero matrix gives
+    svd = np.linalg.svd
+    shifts = Composition([AffineMap.translation([0.1, -0.2, 0.0]),
+                          AffineMap.translation([0.4, 0.0, -0.0])])
+    flat = flatten_to_affine(shifts)
+    calls = _count_svds(monkeypatch)
+    rng_space, x = disp_mod._affine_solve(shifts)
+    est = displacement_iterative(shifts, tol=1e-12)
+    assert len(calls) == 0
+    assert est.converged and est.iterations == 1 and est.error_bound is not None
+    u, s, vt = svd(np.eye(3) - flat.M, full_matrices=False)
+    assert rng_space.rank == 0 and rng_space.basis.shape == u[:, :0].shape
+    assert rng_space.base.tobytes() == (-flat.b).tobytes()
+    assert x.tobytes() == (vt[:0].T @ ((u[:, :0].T @ flat.b) / s[:0])).tobytes()
+    assert displacement_exact_affine(shifts).vector.tobytes() == (-flat.b).tobytes()
+
+
 def test_estimate_container_invariants():
     with pytest.raises(ValidationError):
         DisplacementEstimate(np.zeros(2), 0.0, 3, EXACT_AFFINE, True)  # exact, iters

@@ -1,16 +1,21 @@
 """Scenario parsing, report payloads, canonical serialization."""
 
 import csv
+import functools
 import io
 import json
+import math
 import os
 import stat
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mdvkit import displacement as disp_mod
+from mdvkit import verify
 from mdvkit.displacement import minimal_displacement
 from mdvkit.errors import ValidationError
 from mdvkit.numeric import AffineSubspace
@@ -127,6 +132,7 @@ def test_run_scenario_checks_ops_indexing():
     })
     reports = run_scenario_checks(scn)
     assert len(reports) == 1 and reports[0].passed
+    assert verify._composed.cache_info().currsize == 0  # the memo goes with the run
     bad = scenario_from_dict({
         "dim": 2, "seed": 1,
         "operators": [{"affine": {"M": [[0.5, 0.0], [0.0, 0.5]], "b": [0.0, 0.0]}}],
@@ -263,6 +269,57 @@ def test_dumps_report_is_canonical():
     assert parsed["schema_version"] == 1
     assert parsed["summary"] == {"total": 1, "passed": 1, "failed": 0,
                                  "hypothesis_unmet": 0}
+
+
+_FLOATS = st.floats(width=64) | st.sampled_from([math.nan, math.inf, -math.inf, -0.0])
+_DTYPES = ["float64", "float32", "int64", "int8", "bool", "complex128"]
+
+
+def _array(n, dtype, ndim):
+    shape = {0: (), 1: (n % 4,), 2: (2, n % 3)}[ndim]
+    return (np.arange(int(np.prod(shape))).reshape(shape) / 3.0 - 0.5).astype(dtype)
+
+
+_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(-(2**70), 2**70), _FLOATS,
+    st.text(st.characters(exclude_categories=()), max_size=6),
+    st.sampled_from(["", "\ud800", "caf\u00e9 \u2603", "tab\tquote\"back\\slash\n"]),
+    st.builds(np.float64, _FLOATS), st.builds(np.float32, st.floats(width=32)),
+    st.builds(np.int64, st.integers(-(2**63), 2**63 - 1)),
+    st.builds(np.int8, st.integers(-128, 127)), st.builds(np.bool_, st.booleans()),
+    st.lists(_FLOATS, max_size=5).map(np.array),
+    st.builds(_array, st.integers(0, 11), st.sampled_from(_DTYPES), st.integers(0, 2)),
+    st.builds(lambda base, k: AffineSubspace(base, np.eye(len(base))[:, :k]),
+              st.lists(st.floats(-1e3, 1e3), min_size=3, max_size=3), st.integers(0, 3)),
+)
+
+
+def _nested(child):
+    return st.one_of(
+        st.lists(child, max_size=4),
+        st.lists(child, max_size=4).map(tuple),
+        st.dictionaries(st.text(max_size=3) | st.integers(-2, 2), child, max_size=4),
+        # a chain of lists that crosses the depth the one-pass writer walks itself
+        st.builds(lambda v, k: functools.reduce(lambda acc, _: [acc], range(k), v),
+                  child, st.integers(0, 12)),
+    )
+
+
+def _rendered(render, payload):
+    """The text, or the type of the error that stopped it."""
+    try:
+        return render(payload)
+    except (TypeError, ValueError) as exc:
+        return type(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(payload=st.recursive(_LEAVES, _nested, max_leaves=30))
+def test_one_pass_report_text_is_the_json_module_text(payload):
+    def reference(p):
+        return json.dumps(stringify_numbers(p), indent=2, sort_keys=True) + "\n"
+
+    assert _rendered(dumps_report, payload) == _rendered(reference, payload)
 
 
 def test_write_atomic_and_load_report(tmp_path):

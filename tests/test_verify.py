@@ -9,7 +9,13 @@ from mdvkit import verify
 from mdvkit.displacement import displacement_range_affine
 from mdvkit.errors import ValidationError
 from mdvkit.numeric import AffineSubspace, minkowski_sum_affine
-from mdvkit.operators import AffineMap, Composition, MonotoneAffine, SetProjector
+from mdvkit.operators import (
+    AffineMap,
+    Composition,
+    MonotoneAffine,
+    SetProjector,
+    flatten_to_affine,
+)
 from mdvkit.sets import AffineSet, Halfspace, full_space
 from mdvkit.verify import (
     CheckReport,
@@ -100,6 +106,37 @@ def test_norm_bound_equality_for_aligned_translations():
     # composition translates by 0.3 d; equality |mdv| = sum of part norms
     assert float(rep.lhs) == pytest.approx(0.3, abs=1e-12)
     assert float(rep.rhs) == pytest.approx(0.3, abs=1e-12)
+
+
+def test_composition_checks_solve_each_order_once(monkeypatch):
+    rng = np.random.default_rng(4)
+    ops = [verify.random_averaged_affine(rng, 4) for _ in range(3)]
+    orders = [ops, ops[1:] + ops[:1], ops[2:] + ops[:2]]  # every cyclic shift
+    # twins flatten to the same (M, b), bit for bit, without touching the memo
+    targets = [np.eye(4) - flatten_to_affine(Composition(order)).M for order in orders]
+    factored = []
+    svd = np.linalg.svd
+
+    def recorded(a, *args, **kwargs):
+        factored.append(np.array(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recorded)
+    check_range_formula_composition(ops)
+    check_permutation_displacement(ops, [2, 0, 1])  # a cyclic shift too
+    check_norm_bound_composition(ops)
+    check_cyclic_norm(ops)
+    assert [sum(np.array_equal(a, t) for a in factored) for t in targets] == [1, 1, 1]
+    assert verify._composed(tuple(ops)) is verify._composed(tuple(ops))
+    assert verify._composed(tuple(ops[::-1])) is not verify._composed(tuple(ops))
+
+
+def test_runners_clear_the_composition_memo():
+    check_norm_bound_composition([AffineMap.translation([0.1, 0.0])] * 2)
+    assert verify._composed.cache_info().currsize > 0
+    builtin_suite(seed=1, randomized_count=3, cyclic_count=1, closed_form_triples=1,
+                  cocoercive_count=1)
+    assert verify._composed.cache_info().currsize == 0
 
 
 def test_cyclic_norm_exact_on_affine():
