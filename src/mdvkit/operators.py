@@ -43,6 +43,13 @@ def _matvec(M: np.ndarray, x: np.ndarray) -> np.ndarray:
     return M @ x if x.ndim == 1 else x @ M.T
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """A read-only copy of ``a``."""
+    a = a.copy()
+    a.setflags(write=False)
+    return a
+
+
 def _averaged_at(M: np.ndarray, alpha: float) -> bool:
     """Whether ``M = (1-alpha) Id + alpha N`` with ``N`` nonexpansive within :data:`NORM_TOL`."""
     N = (M - (1.0 - alpha) * np.eye(M.shape[0])) / alpha
@@ -54,6 +61,8 @@ class MonotoneAffine:
 
     Maximal monotonicity is automatic for full-domain affine maps, so the only
     structural requirement is ``Q + Q^T >= 0`` within a small slack.
+    ``(I + Q)^{-1}`` is computed once, for every resolvent on the operator and
+    on its shifted copies.
     """
 
     def __init__(self, Q, q):
@@ -64,29 +73,58 @@ class MonotoneAffine:
             raise ValidationError(
                 f"Q + Q^T must be positive semidefinite (min eigenvalue {sym_min:.3e})"
             )
-        Q = Q.copy()
-        q = q.copy()
-        Q.setflags(write=False)
-        q.setflags(write=False)
-        self.Q = Q
-        self.q = q
+        self.Q = _frozen(Q)
+        self.q = _frozen(q)
 
     @property
     def dim(self) -> int:
         return self.q.size
 
+    @cached_property
+    def _resolvent_matrix(self) -> np.ndarray:
+        """``(I + Q)^{-1}``, read-only; ``I + Q`` has symmetric part at least
+        the identity, so it is always invertible."""
+        return _frozen(np.linalg.inv(np.eye(self.dim) + self.Q))
+
+    @cached_property
+    def _cocoercivity(self) -> float:
+        Q = self.Q  # the modulus of cocoercivity_modulus
+        if _spectral_norm(Q) <= NORM_TOL:
+            return MU_CAP
+        if np.max(np.abs(Q - Q.T)) <= NORM_TOL:
+            lam_max = float(np.linalg.eigvalsh((Q + Q.T) / 2.0)[-1])
+            if lam_max <= 1.0 / MU_CAP:
+                return MU_CAP
+            return min(1.0 / lam_max, MU_CAP)
+        lam_min = float(np.linalg.eigvalsh((Q + Q.T) / 2.0)[0])
+        if lam_min <= NORM_TOL:
+            return 0.0
+        return min(lam_min / _spectral_norm(Q) ** 2, MU_CAP)
+
     def __call__(self, x) -> np.ndarray:
         return self.Q @ as_vector(x, self.dim) + self.q
+
+    def _with_q(self, q) -> "MonotoneAffine":
+        """The operator ``x -> Qx + q``: the validated ``Q`` and its inverse
+        carry over, so only the new ``q`` is checked (finite, which an
+        overflowing shift is not)."""
+        q = as_vector(q, self.dim)
+        other = MonotoneAffine.__new__(MonotoneAffine)
+        other.Q, other.q = self.Q, _frozen(q)
+        other._resolvent_matrix = self._resolvent_matrix
+        return other
 
     def shift_input(self, y) -> "MonotoneAffine":
         """The operator ``x -> A(x - y)`` (same Q, constant term q - Qy)."""
         y = as_vector(y, self.dim)
-        return MonotoneAffine(self.Q, self.q - self.Q @ y)
+        with np.errstate(over="ignore", invalid="ignore"):  # _with_q refuses a non-finite q
+            return self._with_q(self.q - self.Q @ y)
 
     def shift_output(self, y) -> "MonotoneAffine":
         """The operator ``x -> A(x) - y`` (same Q, constant term q - y)."""
         y = as_vector(y, self.dim)
-        return MonotoneAffine(self.Q, self.q - y)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return self._with_q(self.q - y)
 
     def __repr__(self):
         return f"MonotoneAffine(dim={self.dim})"
@@ -164,9 +202,10 @@ class AffineMap(Operator):
 
     @classmethod
     def _collapsed(cls, M: np.ndarray, b: np.ndarray) -> "AffineMap":
-        """The finite ``(M, b)`` of a tree of validated parts, without the
-        validation SVD: a composition or convex combination of nonexpansive
-        maps is nonexpansive, up to rounding."""
+        """A finite ``(M, b)`` known nonexpansive, without the validation SVD:
+        that of a tree of validated parts (a composition or convex combination
+        of nonexpansive maps is nonexpansive, up to rounding), or an ``M``
+        scaled to a norm of at most one."""
         self = cls.__new__(cls)
         self._set(M, b)
         return self
@@ -282,19 +321,15 @@ class GradientStep(Operator):
 
 
 class Resolvent(Operator):
-    """Resolvent ``(Id + A)^{-1}`` of an affine monotone operator.
-
-    ``I + Q`` has symmetric part bounded below by the identity, so it is
-    always invertible and the inverse is precomputed once.
-    """
+    """Resolvent ``(Id + A)^{-1}`` of an affine monotone operator: the map
+    ``x -> K (x - q)`` with the operator's cached ``K = (I + Q)^{-1}``."""
 
     def __init__(self, operator: MonotoneAffine):
         if not isinstance(operator, MonotoneAffine):
             raise ValidationError("Resolvent wraps a MonotoneAffine")
         self.operator = operator
         self.dim = operator.dim
-        K = np.linalg.inv(np.eye(self.dim) + operator.Q)
-        self._K = K
+        self._K = K = operator._resolvent_matrix
         self._Kq = K @ operator.q
 
     def _apply(self, x):
@@ -430,7 +465,8 @@ class ConvexCombination(Operator):
 
 
 def cocoercivity_modulus(A: MonotoneAffine) -> float:
-    """Certified ``mu`` with ``<u, Qu> >= mu ||Qu||^2`` for all ``u``.
+    """Certified ``mu`` with ``<u, Qu> >= mu ||Qu||^2`` for all ``u``, computed
+    once per operator.
 
     For symmetric ``Q`` (within :data:`NORM_TOL`) the largest modulus is
     ``1 / lmax(Q)`` (capped at :data:`MU_CAP` for the zero map).  For
@@ -440,18 +476,7 @@ def cocoercivity_modulus(A: MonotoneAffine) -> float:
     """
     if not isinstance(A, MonotoneAffine):
         raise ValidationError("cocoercivity_modulus expects a MonotoneAffine")
-    Q = A.Q
-    if _spectral_norm(Q) <= NORM_TOL:
-        return MU_CAP
-    if np.max(np.abs(Q - Q.T)) <= NORM_TOL:
-        lam_max = float(np.linalg.eigvalsh((Q + Q.T) / 2.0)[-1])
-        if lam_max <= 1.0 / MU_CAP:
-            return MU_CAP
-        return min(1.0 / lam_max, MU_CAP)
-    lam_min = float(np.linalg.eigvalsh((Q + Q.T) / 2.0)[0])
-    if lam_min <= NORM_TOL:
-        return 0.0
-    return min(lam_min / _spectral_norm(Q) ** 2, MU_CAP)
+    return A._cocoercivity
 
 
 _FLAT_UNSET = object()

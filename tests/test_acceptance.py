@@ -231,7 +231,7 @@ def test_criterion_09_cocoercive_reflected_equivalence():
                                                     seed=idx, tol=1e-8)
         good += rep.passed
     _line(9, good == 50, f"cocoercive/averaged equivalence {good}/50 PSD "
-                         f"instances, 1000 pairs each, at 1e-8")
+                         f"instances, decided by eigenvalues, at 1e-8")
 
 
 def test_criterion_10_projected_gradient_corollary():

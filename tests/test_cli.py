@@ -539,6 +539,21 @@ def test_checks_take_name_tol_and_ops_besides_their_fields(tmp_path, capsys):
         "9.9999999999999995e-07"] * 2
 
 
+def test_a_huge_sample_count_changes_nothing(tmp_path, capsys):
+    # both checks decide exactly, so ``samples`` is validated and then unused
+    B = {"Q": [[2.0, 1.0], [-1.0, 1.0]], "q": [0.0, 0.5]}
+    checks = [{"name": "cocoercive_averaged_equivalence", "A": _A},
+              {"name": "translation_formula", "A": _A, "B": B, "y": [0.7, -0.4]}]
+    rows = []
+    for samples in (None, 10**12):
+        scn = _with(checks=[dict(c, samples=samples) if samples else c for c in checks])
+        assert main(["verify", _dump(tmp_path, scn)]) == EXIT_OK
+        out, err = capsys.readouterr()
+        assert "Traceback" not in err
+        rows.append(json.loads(out)["checks"])
+    assert rows[0] == rows[1]
+
+
 @pytest.mark.filterwarnings("error")  # numpy's own warning would expose a source line
 def test_overflowing_composition_exits_three(tmp_path, capsys):
     far = {"affine": {"M": [[1.0, 0.0], [0.0, 1.0]], "b": [1e308, 0.0]}}

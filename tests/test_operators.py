@@ -75,6 +75,56 @@ def test_monotone_affine_shifts():
     np.testing.assert_allclose(A.shift_output(y)(x), A(x) - y)
 
 
+def test_one_inverse_per_monotone_operator_and_its_shifted_copies(monkeypatch):
+    A = MonotoneAffine([[2.0, 1.0], [-1.0, 1.0]], [1.0, -1.0])
+    y = np.array([0.5, 0.25])
+    calls = {"inv": 0, "eigvalsh": 0}
+    for name in calls:
+        def counted(*args, _name=name, _fn=getattr(np.linalg, name)):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(np.linalg, name, counted)
+    shifted = [A.shift_input(y), A.shift_output(y), A.shift_input(y).shift_output(y)]
+    assert calls["eigvalsh"] == 0  # the copies keep the validated Q
+    maps = [wrap(op) for op in (A, *shifted) for wrap in (Resolvent, ReflectedResolvent)]
+    assert calls["inv"] == 1
+    x = np.array([3.0, -2.0])
+    K = np.linalg.inv(np.eye(2) + A.Q)
+    for op, R in zip((A, *shifted), maps[::2]):
+        np.testing.assert_allclose(R(x), K @ (x - op.q), rtol=1e-14)
+
+
+@pytest.mark.parametrize("shift, y", [("shift_input", [1e300, 0.0]),
+                                      ("shift_output", [-1.7e308, 0.0])])
+def test_a_shift_whose_constant_overflows_is_refused(shift, y):
+    A = MonotoneAffine([[1e10, 0.0], [0.0, 1.0]], [1.7e308, 0.0])
+    with pytest.raises(ValidationError, match="finite"):
+        getattr(A, shift)(y)
+
+
+def test_cocoercivity_modulus_is_computed_once(monkeypatch):
+    A = MonotoneAffine(np.diag([2.0, 0.5]), [0.0, 0.0])
+    mu = cocoercivity_modulus(A)
+    monkeypatch.setattr(np.linalg, "eigvalsh", None)  # a second computation would raise
+    monkeypatch.setattr(np.linalg, "svd", None)
+    assert cocoercivity_modulus(A) == mu
+    assert ReflectedResolvent(A).is_averaged
+
+
+def test_random_averaged_affine_factors_once(monkeypatch):
+    svd, calls = np.linalg.svd, []
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+    rng = np.random.default_rng(5)
+    op = random_averaged_affine(rng, 5)
+    assert len(calls) == 1  # the scaling SVD; the constructor adds none
+    replay = np.random.default_rng(5)
+    g = replay.standard_normal((5, 5))
+    assert np.array_equal(op.M, (0.95 / svd(g, compute_uv=False)[0]) * g)
+    assert np.array_equal(op.b, 0.2 * replay.standard_normal(5))
+    with pytest.raises(ValidationError):
+        random_averaged_affine(rng, 5, norm=1.5)
+
+
 def test_convex_combination_weight_validation():
     a = AffineMap.identity(2)
     b = AffineMap([[0.5, 0.0], [0.0, 0.5]], [0.0, 0.0])

@@ -13,7 +13,9 @@ from mdvkit.operators import (
     AffineMap,
     Composition,
     MonotoneAffine,
+    ReflectedResolvent,
     SetProjector,
+    cocoercivity_modulus,
     flatten_to_affine,
 )
 from mdvkit.sets import AffineSet, Halfspace, full_space
@@ -219,6 +221,36 @@ def test_zero_sum_corollary_met_and_unmet():
     assert not rep2.hypothesis_met
 
 
+def test_cocoercive_check_fails_a_modulus_that_sampling_passes():
+    # e1 violates <d, Qd> >= mu |Qd|^2 by 1e-6, a direction 1000 Gaussian
+    # samples almost never come close enough to for the slack to go negative
+    A = MonotoneAffine(np.diag([1.0, 1e-3, 1e-3, 1e-3, 1e-3]), np.zeros(5))
+    for seed in range(5):
+        rep = check_cocoercive_averaged_equivalence(A, 1.0 + 1e-6, samples=1000, seed=seed)
+        assert not rep.passed
+        assert rep.lhs["min_cocoercivity_slack"] == pytest.approx(-1e-6, rel=1e-6)
+        assert rep.lhs["min_averagedness_slack"] < 0.0
+        assert np.abs(rep.witness).tolist() == [1.0, 0.0, 0.0, 0.0, 0.0]
+
+
+def test_cocoercive_check_slacks_are_the_smallest_eigenvalues():
+    rng = np.random.default_rng(7)
+    A = random_psd_monotone(rng, 4, singular=True)
+    mu = 0.9 * cocoercivity_modulus(A)
+    rep = check_cocoercive_averaged_equivalence(A, mu)
+    assert rep.passed and rep.rhs == {"mu": mu}
+    # no direction does better than the witness, and the witness attains the slack
+    Q, d = A.Q, rep.witness
+    assert np.linalg.norm(d) == pytest.approx(1.0)
+    assert float(d @ Q @ d - mu * (Q @ d) @ (Q @ d)) == pytest.approx(
+        rep.lhs["min_cocoercivity_slack"], abs=1e-14)
+    D = rng.standard_normal((1000, 4))
+    D /= np.linalg.norm(D, axis=1, keepdims=True)
+    QD = D @ Q.T
+    sampled = np.einsum("ij,ij->i", D, QD) - mu * np.einsum("ij,ij->i", QD, QD)
+    assert sampled.min() >= rep.lhs["min_cocoercivity_slack"] - 1e-14
+
+
 def test_cocoercive_check_passes_and_fails():
     A = MonotoneAffine(np.diag([2.0, 0.5]), [0.3, -0.1])
     good = check_cocoercive_averaged_equivalence(A, 0.5, samples=500)
@@ -246,28 +278,42 @@ def test_translation_formula_pointwise():
     assert rep.passed and rep.discrepancy <= 1e-10
 
 
-class _FixedDraws:
-    """Stands in for ``np.random.default_rng``: every draw returns ``rows``."""
+def test_translation_formula_discrepancy_is_the_largest_pair_difference():
+    # the identity's two sides differ by an affine map E, so the pointwise
+    # error at 0 is db and the errors at the unit vectors are dM's columns
+    A = MonotoneAffine(np.diag([1.0, 3.0]), [1.0, -2.0])
+    B = MonotoneAffine([[2.0, 1.0], [-1.0, 1.0]], [0.0, 0.5])
+    y = np.array([0.7, -0.4])
+    rep = check_translation_formula(A, B, y)
+    r_a, r_b = ReflectedResolvent(A), ReflectedResolvent(B)
+    r_a_shift, r_b_shift = ReflectedResolvent(A.shift_output(y)), ReflectedResolvent(B.shift_input(y))
 
-    def __init__(self, rows):
-        self.rows = rows
+    def error(x):
+        return (x - r_b_shift(r_a_shift(x))) - (-2.0 * y + (x + y) - r_b(r_a(x + y)))
 
-    def standard_normal(self, shape):
-        assert shape == self.rows.shape
-        return self.rows.copy()
+    db = error(np.zeros(2))
+    dM = np.column_stack([error(e) - db for e in np.eye(2)])
+    assert rep.lhs["offset_error"] == pytest.approx(np.linalg.norm(db), abs=1e-15)
+    assert rep.lhs["max_matrix_error"] == pytest.approx(np.max(np.abs(dM)), abs=1e-15)
+    assert rep.discrepancy == max(rep.lhs.values()) <= 1e-15
+    assert rep.passed and rep.witness is None
 
 
-def test_translation_formula_witness_is_the_first_row_with_the_largest_error(monkeypatch):
-    # With Q = 0 and coordinate-symmetric q and y, swapping the two coordinates
-    # of a sample swaps every intermediate exactly, so (2, -2.5) and (-2.5, 2)
-    # tie for the largest error; the earlier one is the witness.
-    A = MonotoneAffine(np.zeros((2, 2)), [0.3, 0.3])
-    B = MonotoneAffine(np.zeros((2, 2)), [-0.2, -0.2])
-    rows = np.array([[0.4, -0.6], [2.0, -2.5], [-2.5, 2.0], [-0.9, 3.3]])
-    monkeypatch.setattr(np.random, "default_rng", lambda seed: _FixedDraws(rows))
-    rep = check_translation_formula(A, B, [0.45, 0.45], samples=4)
-    assert rep.passed and rep.discrepancy > 0.0
-    assert rep.witness.tolist() == [2.0, -2.5]
+def test_translation_formula_fails_a_wrong_shift(monkeypatch):
+    A = MonotoneAffine(np.diag([1.0, 3.0]), [1.0, -2.0])
+    B = MonotoneAffine([[2.0, 1.0], [-1.0, 1.0]], [0.0, 0.5])
+    y = np.array([0.7, -0.4])
+    shift_input = MonotoneAffine.shift_input
+    # B's shifted copy is off by 1e-6: x -> B(x - y) + 1e-6 e1
+    monkeypatch.setattr(MonotoneAffine, "shift_input",
+                        lambda self, y: shift_input(self, y).shift_output([-1e-6, 0.0]))
+    rep = check_translation_formula(A, B, y)
+    assert not rep.passed
+    # R_B' moves its offset by -2 (I + Q_B)^{-1} (1e-6 e1) and keeps its matrix
+    want = 2.0 * np.linalg.norm(np.linalg.solve(np.eye(2) + B.Q, [1e-6, 0.0]))
+    assert rep.lhs["offset_error"] == pytest.approx(want, rel=1e-6)
+    assert rep.lhs["max_matrix_error"] <= 1e-15
+    assert rep.discrepancy == rep.lhs["offset_error"]
 
 
 def test_reports_hold_no_array_the_caller_passed():
