@@ -44,6 +44,13 @@ def as_matrix(m, square: bool = False) -> np.ndarray:
     return a
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """A read-only copy of ``a``."""
+    a = a.copy()
+    a.setflags(write=False)
+    return a
+
+
 def orthonormal_range_basis(M, tol: float = DEFAULT_RANK_TOL,
                             floor: float = 0.0) -> np.ndarray:
     """Orthonormal basis of the column space of ``M`` as a ``(rows, rank)`` array.
@@ -101,12 +108,8 @@ class AffineSubspace:
             gram = basis.T @ basis
             if np.max(np.abs(gram - np.eye(basis.shape[1]))) > ORTHONORMALITY_TOL:
                 raise ValidationError("basis columns must be orthonormal")
-        base = base.copy()
-        basis = basis.copy()
-        base.setflags(write=False)
-        basis.setflags(write=False)
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "base", _frozen(base))
+        object.__setattr__(self, "basis", _frozen(basis))
 
     @classmethod
     def _computed(cls, base: np.ndarray, basis: np.ndarray) -> "AffineSubspace":

@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .numeric import as_matrix, as_vector
+from .numeric import _frozen, as_matrix, as_vector
 from .sets import ConvexSet
 
 #: Spectral-norm slack accepted when validating nonexpansiveness.
@@ -43,13 +43,6 @@ def _matvec(M: np.ndarray, x: np.ndarray) -> np.ndarray:
     return M @ x if x.ndim == 1 else x @ M.T
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
-    """A read-only copy of ``a``."""
-    a = a.copy()
-    a.setflags(write=False)
-    return a
-
-
 def _averaged_at(M: np.ndarray, alpha: float) -> bool:
     """Whether ``M = (1-alpha) Id + alpha N`` with ``N`` nonexpansive within :data:`NORM_TOL`."""
     N = (M - (1.0 - alpha) * np.eye(M.shape[0])) / alpha
@@ -60,21 +53,20 @@ class MonotoneAffine:
     """Affine monotone operator ``x -> Qx + q`` (symmetric part of Q is PSD).
 
     Maximal monotonicity is automatic for full-domain affine maps, so the only
-    structural requirement is ``Q + Q^T >= 0`` within a small slack.
-    ``(I + Q)^{-1}`` is computed once, for every resolvent on the operator and
-    on its shifted copies.
+    structural requirement is ``Q + Q^T >= 0`` within a small slack.  The
+    ascending eigenvalues of ``(Q + Q^T)/2`` (read-only ``_sym_eigvals``) and
+    ``(I + Q)^{-1}`` are computed once, for the operator and its shifted copies.
     """
 
     def __init__(self, Q, q):
-        Q = as_matrix(Q, square=True)
-        q = as_vector(q, Q.shape[0])
-        sym_min = float(np.linalg.eigvalsh((Q + Q.T) / 2.0)[0])
-        if sym_min < -NORM_TOL:
+        self.Q = Q = _frozen(as_matrix(Q, square=True))
+        self.q = _frozen(as_vector(q, Q.shape[0]))
+        eigs = np.linalg.eigvalsh((Q + Q.T) / 2.0)
+        if eigs[0] < -NORM_TOL:
             raise ValidationError(
-                f"Q + Q^T must be positive semidefinite (min eigenvalue {sym_min:.3e})"
+                f"Q + Q^T must be positive semidefinite (min eigenvalue {eigs[0]:.3e})"
             )
-        self.Q = _frozen(Q)
-        self.q = _frozen(q)
+        self._sym_eigvals = _frozen(eigs)
 
     @property
     def dim(self) -> int:
@@ -92,11 +84,11 @@ class MonotoneAffine:
         if _spectral_norm(Q) <= NORM_TOL:
             return MU_CAP
         if np.max(np.abs(Q - Q.T)) <= NORM_TOL:
-            lam_max = float(np.linalg.eigvalsh((Q + Q.T) / 2.0)[-1])
+            lam_max = float(self._sym_eigvals[-1])
             if lam_max <= 1.0 / MU_CAP:
                 return MU_CAP
             return min(1.0 / lam_max, MU_CAP)
-        lam_min = float(np.linalg.eigvalsh((Q + Q.T) / 2.0)[0])
+        lam_min = float(self._sym_eigvals[0])
         if lam_min <= NORM_TOL:
             return 0.0
         return min(lam_min / _spectral_norm(Q) ** 2, MU_CAP)
@@ -105,12 +97,12 @@ class MonotoneAffine:
         return self.Q @ as_vector(x, self.dim) + self.q
 
     def _with_q(self, q) -> "MonotoneAffine":
-        """The operator ``x -> Qx + q``: the validated ``Q`` and its inverse
-        carry over, so only the new ``q`` is checked (finite, which an
-        overflowing shift is not)."""
+        """The operator ``x -> Qx + q``: the validated ``Q``, its symmetric
+        part's eigenvalues and its inverse carry over, so only the new ``q`` is
+        checked (finite, which an overflowing shift is not)."""
         q = as_vector(q, self.dim)
         other = MonotoneAffine.__new__(MonotoneAffine)
-        other.Q, other.q = self.Q, _frozen(q)
+        other.Q, other.q, other._sym_eigvals = self.Q, _frozen(q), self._sym_eigvals
         other._resolvent_matrix = self._resolvent_matrix
         return other
 
@@ -211,12 +203,8 @@ class AffineMap(Operator):
         return self
 
     def _set(self, M: np.ndarray, b: np.ndarray) -> None:
-        M = M.copy()
-        b = b.copy()
-        M.setflags(write=False)
-        b.setflags(write=False)
-        self.M = M
-        self.b = b
+        self.M = _frozen(M)
+        self.b = _frozen(b)
         self.dim = M.shape[0]
 
     @classmethod
@@ -276,37 +264,30 @@ class SetProjector(Operator):
 class GradientStep(Operator):
     """Explicit gradient step ``x -> x - step (Qx + q)`` for a convex quadratic.
 
-    ``Q`` must be symmetric positive semidefinite: it is the Hessian of
-    ``f(x) = 1/2 <x, Qx> + <q, x>``, and a skew part would invalidate the
-    averagedness certificate below.  ``step * lmax(Q) <= 2`` keeps the map
-    nonexpansive (averaged with constant ``step * lmax / 2`` when strict).
+    The step is ``Id - step A`` for the monotone ``A = MonotoneAffine(Q, q)``,
+    which validates the quadratic.  ``Q`` must also be symmetric: it is the
+    Hessian of ``f(x) = 1/2 <x, Qx> + <q, x>``, and a skew part would
+    invalidate the averagedness certificate below.  ``step * lmax(Q) <= 2``
+    keeps the map nonexpansive (averaged with constant ``step * lmax / 2``
+    when strict).
     """
 
     def __init__(self, Q, q, step):
-        Q = as_matrix(Q, square=True)
-        q = as_vector(q, Q.shape[0])
+        A = MonotoneAffine(Q, q)
         step = float(step)
-        if np.max(np.abs(Q - Q.T)) > NORM_TOL:
+        if np.max(np.abs(A.Q - A.Q.T)) > NORM_TOL:
             raise ValidationError("gradient step requires a symmetric Q")
-        eigs = np.linalg.eigvalsh((Q + Q.T) / 2.0)
-        if float(eigs[0]) < -NORM_TOL:
-            raise ValidationError("gradient step requires a positive semidefinite Q")
         if not np.isfinite(step) or step <= 0.0:
             raise ValidationError("step must be positive and finite")
-        lips = max(float(eigs[-1]), 0.0)
+        lips = max(float(A._sym_eigvals[-1]), 0.0)
         if step * lips > 2.0 + NORM_TOL:
             raise ValidationError(
                 f"step * lmax = {step * lips:.6g} exceeds 2: the step map is expansive"
             )
-        Q = Q.copy()
-        q = q.copy()
-        Q.setflags(write=False)
-        q.setflags(write=False)
-        self.Q = Q
-        self.q = q
+        self.Q, self.q = A.Q, A.q
         self.step = step
         self.lipschitz = lips
-        self.dim = Q.shape[0]
+        self.dim = A.dim
         # the margin keeps step * lmax within rounding of 2 merely nonexpansive
         self.is_averaged = step * lips < 2.0 - 1e-12
 
@@ -372,19 +353,25 @@ class ReflectedResolvent(Operator):
         return f"ReflectedResolvent(dim={self.dim})"
 
 
+def _parts(parts, what: str) -> tuple:
+    """``parts`` as a tuple of at least one :class:`Operator`, all of one
+    dimension; ``what`` names the list in the error."""
+    parts = tuple(parts)
+    if not parts:
+        raise ValidationError(f"{what} needs at least one part")
+    for p in parts:
+        if not isinstance(p, Operator):
+            raise ValidationError(f"{what} parts must be operators")
+        if p.dim != parts[0].dim:
+            raise ValidationError(f"{what} parts must share one ambient dimension")
+    return parts
+
+
 class Composition(Operator):
     """Composition applying ``parts[0]`` first, then each later part in order."""
 
     def __init__(self, parts):
-        parts = tuple(parts)
-        if not parts:
-            raise ValidationError("composition needs at least one part")
-        for p in parts:
-            if not isinstance(p, Operator):
-                raise ValidationError("composition parts must be operators")
-            if p.dim != parts[0].dim:
-                raise ValidationError("composition parts must share one ambient dimension")
-        self.parts = parts
+        self.parts = parts = _parts(parts, "composition")
         self.dim = parts[0].dim
 
     def _apply(self, x):
@@ -418,23 +405,15 @@ class ConvexCombination(Operator):
     """Pointwise convex combination ``x -> sum_i w_i parts[i](x)``."""
 
     def __init__(self, weights, parts):
+        self.parts = parts = _parts(parts, "combination")
         weights = as_vector(weights)
-        parts = tuple(parts)
-        if weights.size != len(parts) or not parts:
+        if weights.size != len(parts):
             raise ValidationError("need one positive weight per part")
         if np.any(weights <= 0.0) or np.any(weights >= 1.0 + 1e-12):
             raise ValidationError("weights must lie in (0, 1)")
         if abs(float(np.sum(weights)) - 1.0) > 1e-12:
             raise ValidationError("weights must sum to one")
-        for p in parts:
-            if not isinstance(p, Operator):
-                raise ValidationError("combination parts must be operators")
-            if p.dim != parts[0].dim:
-                raise ValidationError("combination parts must share one ambient dimension")
-        weights = weights.copy()
-        weights.setflags(write=False)
-        self.weights = weights
-        self.parts = parts
+        self.weights = _frozen(weights)
         self.dim = parts[0].dim
 
     def _apply(self, x):

@@ -379,7 +379,7 @@ def run_scenario_checks(scn: Scenario, seed: int | None = None,
         kw = {"seed": seed, **(iterative if spec.iterative else {})}
         check_tol = params.get("tol", tol)
         if check_tol is not None:
-            kw["tol"] = _number(check_tol, f"{path}.tol")
+            kw["tol"] = _positive(check_tol, f"{path}.tol")
         args = [_ops_for_check(scn, params, path)] if spec.ops else []
         calls.append((path, params["name"], args + _fields(spec.fields, params, path, scn.dim), kw))
     reports = []

@@ -34,6 +34,7 @@ from .operators import (
     ReflectedResolvent,
     Resolvent,
     SetProjector,
+    _parts,
     _spectral_norm,
     cocoercivity_modulus,
     flatten_to_affine,
@@ -91,16 +92,17 @@ def _make(check_name, lhs, rhs, discrepancy, tolerance, witness=None, seed=0,
     )
 
 
-def _as_operator_list(ops) -> list[Operator]:
-    ops = list(ops)
-    if not ops:
-        raise ValidationError("need at least one operator")
-    for op in ops:
-        if not isinstance(op, Operator):
-            raise ValidationError("expected Operator instances")
-        if op.dim != ops[0].dim:
-            raise ValidationError("operators must share one ambient dimension")
-    return ops
+def _monotone(*ops) -> None:
+    """Refuse operands that are not :class:`MonotoneAffine` of one dimension."""
+    if not all(isinstance(op, MonotoneAffine) for op in ops):
+        raise ValidationError("expected MonotoneAffine operands")
+    if any(op.dim != ops[0].dim for op in ops):
+        raise ValidationError("operands must share one ambient dimension")
+
+
+def _range(q: np.ndarray, Q: np.ndarray) -> AffineSubspace:
+    """The range ``q + ran Q`` of ``x -> Qx + q``, for a finite ``q`` and ``Q``."""
+    return AffineSubspace._computed(q, orthonormal_range_basis(Q))
 
 
 @functools.lru_cache(maxsize=8)
@@ -125,12 +127,10 @@ def _composition_hypothesis(ops) -> tuple[bool, str]:
 
 def check_range_formula_composition(ops, tol: float = EXACT_TOL, seed: int = 0) -> CheckReport:
     """Displacement range of a composition vs Minkowski sum of part ranges."""
-    ops = _as_operator_list(ops)
+    ops = _parts(ops, "check")
     met, notes = _composition_hypothesis(ops)
-    lhs = disp.displacement_range_affine(_composed(tuple(ops)))
-    rhs = disp.displacement_range_affine(ops[0])
-    for op in ops[1:]:
-        rhs = minkowski_sum_affine(rhs, disp.displacement_range_affine(op))
+    lhs = disp.displacement_range_affine(_composed(ops))
+    rhs = functools.reduce(minkowski_sum_affine, map(disp.displacement_range_affine, ops))
     d = affine_discrepancy(lhs, rhs)
     return _make("range_formula_composition", lhs, rhs, d, tol,
                  seed=seed, hypothesis_met=met, notes=notes)
@@ -138,13 +138,14 @@ def check_range_formula_composition(ops, tol: float = EXACT_TOL, seed: int = 0) 
 
 def check_permutation_displacement(ops, sigma, tol: float = EXACT_TOL, seed: int = 0) -> CheckReport:
     """Minimal displacement vector is invariant under permuting the factors."""
-    ops = _as_operator_list(ops)
-    sigma = [int(i) for i in sigma]
-    if sorted(sigma) != list(range(len(ops))):
+    ops = _parts(ops, "check")
+    sigma = list(sigma)
+    if not all(map(disp._is_integer, sigma)) or sorted(sigma) != list(range(len(ops))):
         raise ValidationError("sigma must be a permutation of the operator indices")
+    sigma = [int(i) for i in sigma]
     met, notes = _composition_hypothesis(ops)
     base, permuted = (disp.displacement_exact_affine(_composed(parts)).vector
-                      for parts in (tuple(ops), tuple(ops[i] for i in sigma)))
+                      for parts in (ops, tuple(ops[i] for i in sigma)))
     d = float(np.linalg.norm(base - permuted))
     return _make("permutation_displacement", base, permuted, d, tol,
                  witness=sigma, seed=seed, hypothesis_met=met, notes=notes)
@@ -152,9 +153,9 @@ def check_permutation_displacement(ops, sigma, tol: float = EXACT_TOL, seed: int
 
 def check_norm_bound_composition(ops, tol: float = EXACT_TOL, seed: int = 0) -> CheckReport:
     """Norm of the composed mdv is at most the sum of the part mdv norms."""
-    ops = _as_operator_list(ops)
+    ops = _parts(ops, "check")
     met, notes = _composition_hypothesis(ops)
-    lhs = disp.displacement_exact_affine(_composed(tuple(ops))).norm
+    lhs = disp.displacement_exact_affine(_composed(ops)).norm
     rhs = float(sum(disp.displacement_exact_affine(op).norm for op in ops))
     d = max(0.0, lhs - rhs)
     return _make("norm_bound_composition", lhs, rhs, d, tol,
@@ -165,10 +166,10 @@ def check_cyclic_norm(ops, tol: float = EXACT_TOL, seed: int = 0,
                       max_iter: int = disp.DEFAULT_MAX_ITER,
                       iter_tol: float = disp.DEFAULT_TOL) -> CheckReport:
     """All cyclic shifts of a composition share one mdv norm (no averagedness needed)."""
-    ops = _as_operator_list(ops)
+    ops = _parts(ops, "check")
     norms = []
     for k in range(len(ops)):
-        shifted = _composed(tuple(ops[k:] + ops[:k]))
+        shifted = _composed(ops[k:] + ops[:k])
         est = disp.minimal_displacement(shifted, max_iter=max_iter, tol=iter_tol)
         norms.append(est.norm)
     d = max(norms) - min(norms)
@@ -200,9 +201,10 @@ def check_three_op_closed_form(deltas, a, tol: float = 1e-10, seed: int = 0) -> 
     ``a_3 + delta_3 a_2 + delta_3 delta_2 a_1`` when the delta product is one,
     and zero otherwise.
     """
-    deltas = [int(d) for d in deltas]
-    if len(deltas) != 3 or any(d not in (-1, 0, 1) for d in deltas):
+    deltas = list(deltas)
+    if len(deltas) != 3 or not all(disp._is_integer(d) and d in (-1, 0, 1) for d in deltas):
         raise ValidationError("deltas must be three values in {-1, 0, 1}")
+    deltas = [int(d) for d in deltas]
     vecs = [as_vector(v) for v in a]
     if len(vecs) != 3 or any(v.size != vecs[0].size for v in vecs):
         raise ValidationError("a must be three vectors of one dimension")
@@ -230,7 +232,7 @@ def check_convex_combination(ops, weights, tol: float = EXACT_TOL, seed: int = 0
     Nonexpansiveness alone suffices; no averagedness hypothesis.  The first
     link allows for the certified ``error_bound`` of each estimate.
     """
-    ops = _as_operator_list(ops)
+    ops = _parts(ops, "check")
     weights = as_vector(weights, len(ops))
     combo = ConvexCombination(weights, ops)
     all_affine = all(flatten_to_affine(op) is not None for op in ops)
@@ -243,9 +245,8 @@ def check_convex_combination(ops, weights, tol: float = EXACT_TOL, seed: int = 0
     notes = ""
     if all_affine:
         lhs = disp.displacement_range_affine(combo)
-        rhs = disp.displacement_range_affine(ops[0]).scaled(weights[0])
-        for w, op in zip(weights[1:], ops[1:]):
-            rhs = minkowski_sum_affine(rhs, disp.displacement_range_affine(op).scaled(w))
+        rhs = functools.reduce(minkowski_sum_affine, (
+            disp.displacement_range_affine(op).scaled(w) for w, op in zip(weights, ops)))
         d_range = affine_discrepancy(lhs, rhs)
     else:
         d_range = 0.0
@@ -270,7 +271,7 @@ def check_zero_sum_corollary(ops, weights, tol: float = 1e-8, seed: int = 0,
                              max_iter: int = disp.DEFAULT_MAX_ITER,
                              iter_tol: float = disp.DEFAULT_TOL) -> CheckReport:
     """If the weighted part mdvs cancel, the combination's mdv vanishes."""
-    ops = _as_operator_list(ops)
+    ops = _parts(ops, "check")
     weights = as_vector(weights, len(ops))
     mdvs = [disp.minimal_displacement(op, max_iter=max_iter, tol=iter_tol).vector for op in ops]
     cancel = np.zeros(ops[0].dim)
@@ -304,8 +305,7 @@ def check_cocoercive_averaged_equivalence(A: MonotoneAffine, mu: float | None = 
     :func:`cocoercivity_modulus`; ``samples`` must be positive and no longer
     changes the answer.
     """
-    if not isinstance(A, MonotoneAffine):
-        raise ValidationError("expected a MonotoneAffine")
+    _monotone(A)
     mu = cocoercivity_modulus(A) if mu is None else float(mu)
     if not (mu > 0.0) or not np.isfinite(mu):
         raise ValidationError("mu must be positive and finite")
@@ -332,20 +332,13 @@ def check_brezis_haraux_affine(A: MonotoneAffine, B: MonotoneAffine,
     The identity needs one summand cocoercive with full domain; when neither
     operator certifies a positive modulus the check still runs but is flagged.
     """
-    for op in (A, B):
-        if not isinstance(op, MonotoneAffine):
-            raise ValidationError("expected MonotoneAffine operands")
-    if A.dim != B.dim:
-        raise ValidationError("operands must share one ambient dimension")
+    _monotone(A, B)
     mu_a = cocoercivity_modulus(A)
     mu_b = cocoercivity_modulus(B)
     met = (mu_a > 0.0) or (mu_b > 0.0)
     notes = "" if met else "hypothesis unmet: neither operator certified cocoercive"
-    lhs = AffineSubspace._computed(as_vector(A.q + B.q), orthonormal_range_basis(A.Q + B.Q))
-    rhs = minkowski_sum_affine(
-        AffineSubspace._computed(A.q, orthonormal_range_basis(A.Q)),
-        AffineSubspace._computed(B.q, orthonormal_range_basis(B.Q)),
-    )
+    lhs = _range(as_vector(A.q + B.q), A.Q + B.Q)
+    rhs = minkowski_sum_affine(_range(A.q, A.Q), _range(B.q, B.Q))
     d = affine_discrepancy(lhs, rhs)
     return _make("brezis_haraux_affine", lhs, rhs, d, tol,
                  seed=seed, hypothesis_met=met, notes=notes)
@@ -364,8 +357,7 @@ def check_translation_formula(A: MonotoneAffine, B: MonotoneAffine, y,
     discrepancy is ``max(max |dM|, |db|)``.  ``samples`` must be positive and
     no longer changes the answer.
     """
-    if A.dim != B.dim:
-        raise ValidationError("operands must share one ambient dimension")
+    _monotone(A, B)
     y = as_vector(y, A.dim)
     if samples < 1:
         raise ValidationError("samples must be positive")
@@ -385,9 +377,8 @@ def check_range_identity_reflected(A: MonotoneAffine, tol: float = EXACT_TOL,
                                    seed: int = 0) -> CheckReport:
     """Doubled operator range = doubled resolvent-displacement range
     = reflected-resolvent displacement range."""
-    if not isinstance(A, MonotoneAffine):
-        raise ValidationError("expected a MonotoneAffine")
-    ran_twice = AffineSubspace._computed(A.q, orthonormal_range_basis(A.Q)).scaled(2.0)
+    _monotone(A)
+    ran_twice = _range(A.q, A.Q).scaled(2.0)
     resolvent_disp = disp.displacement_range_affine(Resolvent(A)).scaled(2.0)
     reflected_disp = disp.displacement_range_affine(ReflectedResolvent(A))
     d = max(

@@ -539,6 +539,13 @@ def test_checks_take_name_tol_and_ops_besides_their_fields(tmp_path, capsys):
         "9.9999999999999995e-07"] * 2
 
 
+@pytest.mark.parametrize("tol", [-1e-9, 0])
+def test_a_check_tol_that_is_not_positive_exits_two(tol, tmp_path, capsys):
+    scn = _with(checks=[{"name": "norm_bound_composition", "tol": tol}])
+    assert main(["verify", _dump(tmp_path, scn)]) == EXIT_INVALID
+    assert capsys.readouterr().err == "error: scenario.checks[0].tol: must be positive\n"
+
+
 def test_a_huge_sample_count_changes_nothing(tmp_path, capsys):
     # both checks decide exactly, so ``samples`` is validated and then unused
     B = {"Q": [[2.0, 1.0], [-1.0, 1.0]], "q": [0.0, 0.5]}

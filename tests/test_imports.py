@@ -1,5 +1,6 @@
 """Every name a module of the package or of its tests imports is used by that
-module, and every module-level function or class of the package is read or exported."""
+module, every module-level function or class of the package is read or exported,
+and every private class member of the package is read."""
 
 import ast
 from collections import Counter
@@ -62,6 +63,37 @@ def _unreferenced(sources: dict[str, str], exported) -> list[str]:
             and node.name not in exported and reads[node.name] == _reads(node)[node.name]]
 
 
+def _loads(tree) -> Counter:
+    """How often each name is loaded, bare or as an attribute."""
+    return Counter(n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(tree)
+                   if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load))
+
+
+def _members(cls: ast.ClassDef):
+    """Each name that the body of ``cls`` defines or assigns, or that its code
+    assigns as an attribute of ``self``."""
+    for node in cls.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            yield from (t.id for t in targets if isinstance(t, ast.Name))
+    yield from (n.attr for n in ast.walk(cls) if isinstance(n, ast.Attribute)
+                and isinstance(n.ctx, ast.Store) and isinstance(n.value, ast.Name)
+                and n.value.id == "self")
+
+
+def _dead_members(sources: dict[str, str]) -> list[str]:
+    """``module.Class.name`` of each private member (an underscore name, not a
+    dunder) of a class that no module loads."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    loads = sum((_loads(tree) for tree in trees.values()), Counter())
+    return [f"{module}.{cls.name}.{name}" for module, tree in trees.items()
+            for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+            for name in dict.fromkeys(_members(cls))
+            if name.startswith("_") and not name.endswith("__") and not loads[name]]
+
+
 @pytest.mark.parametrize("path", MODULES + TEST_MODULES,
                          ids=[p.name for p in MODULES] + [f"tests/{p.name}" for p in TEST_MODULES])
 def test_module_uses_every_name_it_imports(path):
@@ -86,3 +118,20 @@ def test_the_scan_sees_an_unreferenced_def():
         "b": "from . import a\n\nx = a.used()\ny: 'Noted | None' = None\n",
     }
     assert _unreferenced(sources, ["Kept"]) == ["a.dead"]
+
+
+def test_every_private_class_member_is_read():
+    sources = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    assert _dead_members(sources) == []
+
+
+def test_the_scan_sees_a_dead_private_member():
+    sources = {
+        "a": "class Thing:\n    _flag = True\n    _unused_flag = False\n\n"
+             "    def __init__(self):\n        self._kept, self._dropped = 1, 2\n\n"
+             "    def _step(self):\n        return self._kept if self._flag else 0\n\n"
+             "    def _dead(self):\n        return 0\n",
+        "b": "from .a import Thing\n\nx = Thing()._step()\n",
+    }
+    assert _dead_members(sources) == [
+        "a.Thing._unused_flag", "a.Thing._dead", "a.Thing._dropped"]

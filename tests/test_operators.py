@@ -94,6 +94,30 @@ def test_one_inverse_per_monotone_operator_and_its_shifted_copies(monkeypatch):
         np.testing.assert_allclose(R(x), K @ (x - op.q), rtol=1e-14)
 
 
+def test_one_sym_eigendecomposition_per_monotone_operator(monkeypatch):
+    eigvalsh, calls = np.linalg.eigvalsh, []
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda *a: calls.append(1) or eigvalsh(*a))
+    y = np.array([0.5, 0.25])
+    for Q in ([[2.0, 1.0], [-1.0, 1.0]], np.diag([2.0, 0.5])):  # both modulus branches
+        calls.clear()
+        A = MonotoneAffine(Q, [1.0, -1.0])
+        for op in (A, A.shift_input(y), A.shift_output(y), A.shift_input(y).shift_output(y)):
+            assert cocoercivity_modulus(op) > 0.0
+        assert len(calls) == 1
+    calls.clear()
+    GradientStep(np.diag([2.0, 0.5]), [1.0, -1.0], 0.5)
+    assert len(calls) == 1
+
+
+def test_stored_sym_eigenvalues_are_read_only():
+    A = MonotoneAffine([[2.0, 1.0], [-1.0, 1.0]], [1.0, -1.0])
+    np.testing.assert_allclose(A._sym_eigvals, [1.0, 2.0])
+    with pytest.raises(ValueError, match="read-only"):
+        A._sym_eigvals[0] = -1.0
+    assert A.shift_input([1.0, 0.0])._sym_eigvals is A._sym_eigvals
+    assert A.shift_output([1.0, 0.0])._sym_eigvals is A._sym_eigvals
+
+
 @pytest.mark.parametrize("shift, y", [("shift_input", [1e300, 0.0]),
                                       ("shift_output", [-1.7e308, 0.0])])
 def test_a_shift_whose_constant_overflows_is_refused(shift, y):
@@ -299,6 +323,17 @@ def test_gradient_step_validation():
         GradientStep([[0.0, 1.0], [0.0, 0.0]], [0.0, 0.0], 0.1)  # not symmetric
     with pytest.raises(ValidationError):
         GradientStep(-np.eye(2), [0.0, 0.0], 0.1)  # not PSD
+
+
+@pytest.mark.parametrize("Q, step, message", [
+    ([[1.0, 1.0], [-1.0, 1.0]], 0.1, "requires a symmetric Q"),  # symmetric part I
+    (-np.eye(2), 0.1, "positive semidefinite"),
+    ([[0.0, 1.0], [0.0, 0.0]], 0.1, "positive semidefinite"),  # refused as a MonotoneAffine first
+    (np.diag([2.0, 0.5]), 1.1, "exceeds 2"),
+], ids=["nonsymmetric", "not-psd", "nonsymmetric-not-psd", "step-too-long"])
+def test_gradient_step_refuses_what_its_rules_refuse(Q, step, message):
+    with pytest.raises(ValidationError, match=message):
+        GradientStep(Q, [0.0, 0.0], step)
 
 
 def test_gradient_step_at_boundary_is_nonexpansive_only():

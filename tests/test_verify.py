@@ -12,12 +12,14 @@ from mdvkit.numeric import AffineSubspace, minkowski_sum_affine
 from mdvkit.operators import (
     AffineMap,
     Composition,
+    ConvexCombination,
     MonotoneAffine,
     ReflectedResolvent,
     SetProjector,
     cocoercivity_modulus,
     flatten_to_affine,
 )
+from mdvkit.scenario import _CHECKS
 from mdvkit.sets import AffineSet, Halfspace, full_space
 from mdvkit.verify import (
     CheckReport,
@@ -64,6 +66,62 @@ def test_check_report_consistency_enforced():
     assert ok.hypothesis_met
 
 
+def _even(ops):
+    return np.full(len(ops), 1.0 / max(len(ops), 1))
+
+
+# every constructor and check that takes an operator list, given that list
+_PART_LISTS = {
+    "Composition": Composition,
+    "ConvexCombination": lambda ops: ConvexCombination(_even(ops), ops),
+    "range_formula_composition": check_range_formula_composition,
+    "permutation_displacement": lambda ops: check_permutation_displacement(
+        ops, list(range(len(ops)))),
+    "norm_bound_composition": check_norm_bound_composition,
+    "cyclic_norm": check_cyclic_norm,
+    "convex_combination": lambda ops: check_convex_combination(ops, _even(ops)),
+    "zero_sum_corollary": lambda ops: check_zero_sum_corollary(ops, _even(ops)),
+}
+
+
+@pytest.mark.parametrize("ops, message", [
+    ([], "needs at least one part"),
+    ([AffineMap.identity(2), np.eye(2)], "parts must be operators"),
+    ([AffineMap.identity(2), AffineMap.identity(3)], "parts must share one ambient dimension"),
+], ids=["empty", "non-operator", "mixed-dimensions"])
+@pytest.mark.parametrize("taker", sorted(_PART_LISTS))
+def test_every_operator_list_follows_the_part_rule(taker, ops, message):
+    assert {name for name, spec in _CHECKS.items() if spec.ops} == set(_PART_LISTS) - {
+        "Composition", "ConvexCombination"}
+    with pytest.raises(ValidationError, match=message):
+        _PART_LISTS[taker](ops)
+
+
+# every check on monotone operands, as (operand count, call)
+_MONOTONE_CHECKS = {
+    "cocoercive_averaged_equivalence": (1, check_cocoercive_averaged_equivalence),
+    "brezis_haraux_affine": (2, check_brezis_haraux_affine),
+    "translation_formula": (2, lambda A, B: check_translation_formula(A, B, [0.0, 0.0])),
+    "range_identity_reflected": (1, check_range_identity_reflected),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_MONOTONE_CHECKS))
+def test_monotone_checks_refuse_other_operands_and_mixed_dimensions(name):
+    assert {n for n, spec in _CHECKS.items() if "A" in spec.fields} == set(_MONOTONE_CHECKS)
+    count, run = _MONOTONE_CHECKS[name]
+    A = MonotoneAffine(np.eye(2), [0.0, 0.0])
+    for bad in (np.eye(2), "A", AffineMap.identity(2)):
+        for at in range(count):
+            operands = [A] * count
+            operands[at] = bad
+            with pytest.raises(ValidationError, match="expected MonotoneAffine operands"):
+                run(*operands)
+    if count == 2:
+        with pytest.raises(ValidationError, match="share one ambient dimension"):
+            run(A, MonotoneAffine(np.eye(3), np.zeros(3)))
+
+
 def test_range_formula_on_axis_projectors():
     # projections onto the two axes: each displacement range is the other
     # axis, their sum is the plane, and so is the composition's range
@@ -98,6 +156,16 @@ def test_permutation_validation():
         check_permutation_displacement(ops, [0, 0])
     with pytest.raises(ValidationError):
         check_permutation_displacement(ops, [0])
+
+
+@pytest.mark.parametrize("sigma", [[1.7, 0.2], [1.0, 0.0], [True, False]],
+                         ids=["fractional", "integral-float", "bool"])
+def test_permutation_refuses_entries_that_are_not_integers(sigma):
+    ops = [AffineMap.identity(2), AffineMap(0.5 * np.eye(2), [1.0, 0.0])]
+    with pytest.raises(ValidationError, match="sigma must be a permutation"):
+        check_permutation_displacement(ops, sigma)
+    rep = check_permutation_displacement(ops, np.array([1, 0]))  # numpy integers are integers
+    assert rep.witness == [1, 0] and all(type(i) is int for i in rep.witness)
 
 
 def test_norm_bound_equality_for_aligned_translations():
@@ -186,6 +254,17 @@ def test_three_op_closed_form_validation():
         check_three_op_closed_form((2, 1, 1), ([1.0], [1.0], [1.0]))
     with pytest.raises(ValidationError):
         check_three_op_closed_form((1, 1), ([1.0], [1.0]))
+
+
+@pytest.mark.parametrize("deltas", [[0.9, -1, 1], [1.0, -1, -1], [True, -1, -1]],
+                         ids=["fractional", "integral-float", "bool"])
+def test_three_op_closed_form_refuses_entries_that_are_not_integers(deltas):
+    a = ([1.0], [2.0], [3.0])
+    with pytest.raises(ValidationError, match="deltas must be three values"):
+        check_three_op_closed_form(deltas, a)
+    rep = check_three_op_closed_form(np.array([1, -1, -1]), a)
+    assert rep.passed and rep.witness == {"deltas": [1, -1, -1]}
+    assert all(type(d) is int for d in rep.witness["deltas"])
 
 
 def test_convex_combination_translations():
