@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, UnsupportedOperatorError, ValidationError
-from .numeric import AffineSubspace, _rank, as_vector, orthonormal_range_basis
+from .numeric import AffineSubspace, _rank, as_real, as_vector, orthonormal_range_basis
 from .operators import Operator, _cover, flatten_to_affine
 
 EXACT_AFFINE = "exact_affine"
@@ -207,8 +207,7 @@ def _is_integer(n) -> bool:
 def _check_budget(max_iter, tol) -> None:
     if not _is_integer(max_iter) or max_iter < 1:
         raise ValidationError("max_iter must be an integer of at least one")
-    if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not 0.0 < tol < math.inf:
-        raise ValidationError("tol must be positive and finite")
+    as_real(tol, "tol", positive=True)
 
 
 def _check_finite(x: np.ndarray) -> None:

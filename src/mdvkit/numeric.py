@@ -7,6 +7,9 @@ Public entry points validate finiteness and dimensions; arrays held by
 
 from __future__ import annotations
 
+import math
+import numbers
+
 import numpy as np
 
 from .errors import ValidationError
@@ -20,7 +23,7 @@ ORTHONORMALITY_TOL = 1e-10
 
 def as_vector(x, dim: int | None = None) -> np.ndarray:
     """Coerce ``x`` to a finite 1-d float array, optionally of length ``dim``."""
-    v = np.asarray(x, dtype=float)
+    v = _as_float_array(x, "vector")
     if v.ndim != 1:
         raise ValidationError(f"expected a vector, got array of shape {v.shape}")
     if v.size == 0:
@@ -34,7 +37,7 @@ def as_vector(x, dim: int | None = None) -> np.ndarray:
 
 def as_matrix(m, square: bool = False) -> np.ndarray:
     """Coerce ``m`` to a finite 2-d float array."""
-    a = np.asarray(m, dtype=float)
+    a = _as_float_array(m, "matrix")
     if a.ndim != 2 or a.shape[0] == 0 or a.shape[1] == 0:
         raise ValidationError(f"expected a matrix, got array of shape {a.shape}")
     if not np.isfinite(a).all():
@@ -42,6 +45,27 @@ def as_matrix(m, square: bool = False) -> np.ndarray:
     if square and a.shape[0] != a.shape[1]:
         raise ValidationError(f"expected a square matrix, got shape {a.shape}")
     return a
+
+
+def _as_float_array(x, what: str) -> np.ndarray:
+    try:
+        return np.asarray(x, dtype=float)
+    except (TypeError, ValueError):  # non-numeric, complex or ragged input
+        raise ValidationError(f"expected a {what} of real numbers") from None
+
+
+def as_real(x, what: str, positive: bool = False) -> float:
+    """``x`` as a finite float, and a positive one if ``positive``: a real
+    number that is not a bool; anything else raises ``ValidationError``
+    naming ``what``."""
+    if isinstance(x, numbers.Real) and not isinstance(x, bool):
+        try:
+            v = float(x)
+        except OverflowError:  # an integer beyond the float range
+            v = math.inf
+        if math.isfinite(v) and (v > 0.0 or not positive):
+            return v
+    raise ValidationError(f"{what} must be {'positive and ' if positive else ''}finite")
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -62,7 +86,7 @@ def orthonormal_range_basis(M, tol: float = DEFAULT_RANK_TOL,
     the relative test alone would keep every direction.  A zero matrix yields
     a ``(rows, 0)`` array.
     """
-    M = np.asarray(M, dtype=float)
+    M = _as_float_array(M, "matrix")
     if M.ndim != 2 or M.shape[0] == 0:
         raise ValidationError(f"expected a matrix, got array of shape {M.shape}")
     if not np.isfinite(M).all():
@@ -95,7 +119,7 @@ class AffineSubspace:
         base = as_vector(base)
         if basis is None:
             basis = np.zeros((base.size, 0))
-        basis = np.asarray(basis, dtype=float)
+        basis = _as_float_array(basis, "basis")
         if basis.ndim != 2:
             raise ValidationError(f"basis must be a (dim, k) array, got shape {basis.shape}")
         if basis.shape[0] != base.size:

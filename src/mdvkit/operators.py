@@ -1,11 +1,13 @@
 """Nonexpansive operator algebra.
 
 Operator trees are immutable and evaluation is pure; ``_apply`` takes one
-vector or an ``(n, dim)`` stack of rows.  Affine leaves keep exact range
+vector or an ``(n, dim)`` stack of rows.  Every affine leaf but a projector
+onto an affine set (a resolvent, a reflected resolvent, a gradient step) is
+an :class:`AffineMap` that stores its ``(M, b)`` once, which keeps exact range
 computations available downstream; projector leaves of non-affine sets force
 the iterative fallback.  ``is_averaged`` answers the averagedness hypothesis
 of the composition and convex-combination results: each leaf decides it
-from its own structure (one SVD for an affine map that is not a
+from its own structure (one SVD for a general affine map that is not a
 translation), and a composition or convex combination is averaged when
 every part is.  :func:`_cover` bounds each operator's displacement range by
 the range calculus of the parts.
@@ -19,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .numeric import _frozen, as_matrix, as_vector
+from .numeric import _frozen, as_matrix, as_real, as_vector
 from .sets import ConvexSet
 
 #: Spectral-norm slack accepted when validating nonexpansiveness.
@@ -36,11 +38,6 @@ MU_CAP = 1e12
 def _spectral_norm(M: np.ndarray) -> float:
     """Largest singular value of a finite 2-d ``M`` (the same LAPACK call as ``norm(M, 2)``)."""
     return float(np.linalg.svd(M, compute_uv=False)[0])
-
-
-def _matvec(M: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """``M @ x`` for one vector, ``x @ M.T`` for an ``(n, dim)`` stack of rows."""
-    return M @ x if x.ndim == 1 else x @ M.T
 
 
 def _averaged_at(M: np.ndarray, alpha: float) -> bool:
@@ -220,7 +217,7 @@ class AffineMap(Operator):
     def _apply(self, x):
         if self._translation:
             return x + self.b
-        return _matvec(self.M, x) + self.b
+        return (self.M @ x if x.ndim == 1 else x @ self.M.T) + self.b
 
     def _affine_pair(self):
         return self.M, self.b
@@ -261,8 +258,9 @@ class SetProjector(Operator):
         return f"SetProjector({self.set!r})"
 
 
-class GradientStep(Operator):
-    """Explicit gradient step ``x -> x - step (Qx + q)`` for a convex quadratic.
+class GradientStep(AffineMap):
+    """Explicit gradient step ``x -> x - step (Qx + q)`` for a convex quadratic:
+    the affine map ``(I - step Q, -step q)``.
 
     The step is ``Id - step A`` for the monotone ``A = MonotoneAffine(Q, q)``,
     which validates the quadratic.  ``Q`` must also be symmetric: it is the
@@ -274,11 +272,9 @@ class GradientStep(Operator):
 
     def __init__(self, Q, q, step):
         A = MonotoneAffine(Q, q)
-        step = float(step)
         if np.max(np.abs(A.Q - A.Q.T)) > NORM_TOL:
             raise ValidationError("gradient step requires a symmetric Q")
-        if not np.isfinite(step) or step <= 0.0:
-            raise ValidationError("step must be positive and finite")
+        step = as_real(step, "step", positive=True)
         lips = max(float(A._sym_eigvals[-1]), 0.0)
         if step * lips > 2.0 + NORM_TOL:
             raise ValidationError(
@@ -287,37 +283,24 @@ class GradientStep(Operator):
         self.Q, self.q = A.Q, A.q
         self.step = step
         self.lipschitz = lips
-        self.dim = A.dim
+        self._set(np.eye(A.dim) - step * A.Q, -step * A.q)
         # the margin keeps step * lmax within rounding of 2 merely nonexpansive
         self.is_averaged = step * lips < 2.0 - 1e-12
-
-    def _apply(self, x):
-        return x - self.step * (_matvec(self.Q, x) + self.q)
-
-    def _affine_pair(self):
-        return np.eye(self.dim) - self.step * self.Q, -self.step * self.q
 
     def __repr__(self):
         return f"GradientStep(dim={self.dim}, step={self.step})"
 
 
-class Resolvent(Operator):
-    """Resolvent ``(Id + A)^{-1}`` of an affine monotone operator: the map
-    ``x -> K (x - q)`` with the operator's cached ``K = (I + Q)^{-1}``."""
+class Resolvent(AffineMap):
+    """Resolvent ``(Id + A)^{-1}`` of an affine monotone operator: the affine
+    map ``(K, -K q)`` with the operator's cached ``K = (I + Q)^{-1}``."""
 
     def __init__(self, operator: MonotoneAffine):
         if not isinstance(operator, MonotoneAffine):
             raise ValidationError("Resolvent wraps a MonotoneAffine")
         self.operator = operator
-        self.dim = operator.dim
-        self._K = K = operator._resolvent_matrix
-        self._Kq = K @ operator.q
-
-    def _apply(self, x):
-        return _matvec(self._K, x) - self._Kq
-
-    def _affine_pair(self):
-        return self._K, -self._Kq
+        K = operator._resolvent_matrix
+        self._set(K, -(K @ operator.q))
 
     is_averaged = True  # firmly nonexpansive
 
@@ -325,25 +308,18 @@ class Resolvent(Operator):
         return f"Resolvent(dim={self.dim})"
 
 
-class ReflectedResolvent(Operator):
-    """Reflected resolvent ``2 (Id + A)^{-1} - Id``; nonexpansive, and averaged
-    with constant ``1/(1 + mu)`` when a cocoercivity modulus ``mu > 0`` of the
-    underlying operator is certified."""
+class ReflectedResolvent(AffineMap):
+    """Reflected resolvent ``2 (Id + A)^{-1} - Id``: the affine map
+    ``(2 K - I, 2 b_J)`` of the resolvent ``J = (K, b_J)``.  Nonexpansive, and
+    averaged with constant ``1/(1 + mu)`` when a cocoercivity modulus
+    ``mu > 0`` of the underlying operator is certified."""
 
     def __init__(self, operator: MonotoneAffine):
         if not isinstance(operator, MonotoneAffine):
             raise ValidationError("ReflectedResolvent wraps a MonotoneAffine")
         self.operator = operator
-        self.resolvent = Resolvent(operator)
-        self.dim = operator.dim
-
-    def _apply(self, x):
-        # Exactly 2 J x - x, sharing the resolvent's arithmetic.
-        return 2.0 * self.resolvent._apply(x) - x
-
-    def _affine_pair(self):
-        J = self.resolvent
-        return 2.0 * J._K - np.eye(self.dim), -2.0 * J._Kq
+        self.resolvent = J = Resolvent(operator)
+        self._set(2.0 * J.M - np.eye(J.dim), 2.0 * J.b)
 
     @cached_property
     def is_averaged(self):
@@ -473,14 +449,16 @@ def _probe_stack(dim: int) -> np.ndarray:
 def flatten_to_affine(T: Operator) -> AffineMap | None:
     """Collapse an operator tree to one affine map when every leaf is affine.
 
-    Returns ``None`` when a projector of a non-affine set occurs anywhere in
-    the tree.  The collapsed map is cross-checked against tree evaluation at
-    dim+11 points (0, the unit vectors, ten seeded Gaussian samples), stacked
-    into one tree walk, within a relative 1e-9.  A disagreement, or a
-    collapsed ``M`` or ``b`` that is not finite (an overflow), raises
-    ``NumericalError``; only agreement is cached.  The parts were validated
-    nonexpansive when they were built, so the collapsed map is not validated
-    again.
+    An :class:`AffineMap` (resolvents, reflected resolvents and gradient steps
+    are ones) is returned as it is; ``None`` when a projector of a non-affine
+    set occurs anywhere in the tree.  Any other operator (a tree, or a
+    projector of an affine set) is collapsed and cross-checked against its
+    evaluation at dim+11 points (0, the unit vectors, ten seeded Gaussian
+    samples), stacked into one tree walk, within a relative 1e-9.  A
+    disagreement, or a collapsed ``M`` or ``b`` that is not finite (an
+    overflow), raises ``NumericalError``; only agreement is cached.  The parts
+    were validated nonexpansive when they were built, so the collapsed map is
+    not validated again.
     """
     if not isinstance(T, Operator):
         raise ValidationError("flatten_to_affine expects an Operator")

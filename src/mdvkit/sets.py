@@ -8,7 +8,7 @@ from abc import ABC, abstractmethod
 import numpy as np
 
 from .errors import ValidationError
-from .numeric import AffineSubspace, as_vector
+from .numeric import AffineSubspace, as_real, as_vector
 
 
 class ConvexSet(ABC):
@@ -60,9 +60,7 @@ class Ball(ConvexSet):
 
     def __init__(self, center, radius):
         self.center = as_vector(center)
-        self.radius = float(radius)
-        if not np.isfinite(self.radius) or self.radius <= 0:
-            raise ValidationError("ball radius must be positive and finite")
+        self.radius = as_real(radius, "ball radius", positive=True)
         self.dim = self.center.size
 
     def _project(self, x):
@@ -84,9 +82,7 @@ class Halfspace(ConvexSet):
 
     def __init__(self, normal, offset):
         self.normal = as_vector(normal)
-        self.offset = float(offset)
-        if not np.isfinite(self.offset):
-            raise ValidationError("halfspace offset must be finite")
+        self.offset = as_real(offset, "halfspace offset")
         self._nsq = float(self.normal @ self.normal)
         if self._nsq == 0.0:
             raise ValidationError("halfspace normal must be nonzero")

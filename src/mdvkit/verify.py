@@ -20,6 +20,7 @@ from .numeric import (
     AffineSubspace,
     affine_discrepancy,
     as_matrix,
+    as_real,
     as_vector,
     minkowski_sum_affine,
     orthonormal_range_basis,
@@ -77,7 +78,7 @@ class CheckReport:
 def _make(check_name, lhs, rhs, discrepancy, tolerance, witness=None, seed=0,
           hypothesis_met=True, notes="") -> CheckReport:
     discrepancy = float(discrepancy)
-    tolerance = float(tolerance)
+    tolerance = as_real(tolerance, "tol", positive=True)
     return CheckReport(
         check_name=check_name,
         passed=bool(discrepancy <= tolerance),
@@ -302,17 +303,15 @@ def check_cocoercive_averaged_equivalence(A: MonotoneAffine, mu: float | None = 
     for the reflected resolvent ``x -> Mx + b`` being ``1/(1 + mu)``-averaged.
     The witness is a unit eigenvector of the smallest cocoercivity
     eigenvalue.  ``mu`` defaults to the certified modulus of
-    :func:`cocoercivity_modulus`; ``samples`` must be positive and no longer
-    changes the answer.
+    :func:`cocoercivity_modulus`; ``samples`` must be a positive integer and
+    no longer changes the answer.
     """
     _monotone(A)
-    mu = cocoercivity_modulus(A) if mu is None else float(mu)
-    if not (mu > 0.0) or not np.isfinite(mu):
-        raise ValidationError("mu must be positive and finite")
-    if samples < 1:
-        raise ValidationError("samples must be positive")
+    mu = as_real(cocoercivity_modulus(A) if mu is None else mu, "mu", positive=True)
+    if not disp._is_integer(samples) or samples < 1:
+        raise ValidationError("samples must be an integer of at least one")
     Q = A.Q
-    M = flatten_to_affine(ReflectedResolvent(A)).M
+    M = ReflectedResolvent(A).M
     eye = np.eye(A.dim)
     w, v = np.linalg.eigh((Q + Q.T) / 2.0 - mu * (Q.T @ Q))
     worst_coco = float(w[0])
@@ -354,13 +353,13 @@ def check_translation_formula(A: MonotoneAffine, B: MonotoneAffine, y,
     where ``A' = A(.) - y`` and ``B' = B(. - y)``, which is the displacement
     identity ``x - R_B' R_A' x = -2y + (x+y) - R_B R_A (x+y)``.  Both sides
     are affine, so comparing their flattened ``(M, b)`` decides it; the
-    discrepancy is ``max(max |dM|, |db|)``.  ``samples`` must be positive and
-    no longer changes the answer.
+    discrepancy is ``max(max |dM|, |db|)``.  ``samples`` must be a positive
+    integer and no longer changes the answer.
     """
     _monotone(A, B)
     y = as_vector(y, A.dim)
-    if samples < 1:
-        raise ValidationError("samples must be positive")
+    if not disp._is_integer(samples) or samples < 1:
+        raise ValidationError("samples must be an integer of at least one")
     shift = AffineMap.translation(y)
     left = flatten_to_affine(Composition([ReflectedResolvent(A.shift_output(y)),
                                           ReflectedResolvent(B.shift_input(y))]))
@@ -402,16 +401,14 @@ def check_projected_gradient_bound(Q, q, C: ConvexSet, alpha: float,
     """
     Q = as_matrix(Q, square=True)
     q = as_vector(q, Q.shape[0])
-    alpha = float(alpha)
+    alpha = as_real(alpha, "alpha")
     if not (0.0 < alpha < 2.0):
         raise ValidationError("alpha must lie in (0, 2)")
     if L is None:
         L = float(np.linalg.eigvalsh((Q + Q.T) / 2.0)[-1])
         if L <= 0.0:
             raise ValidationError("flat objective: supply the Lipschitz constant L explicitly")
-    L = float(L)
-    if not np.isfinite(L) or L <= 0.0:
-        raise ValidationError("L must be positive and finite")
+    L = as_real(L, "L", positive=True)
     step = alpha / L
     T = Composition([GradientStep(Q, q, step), SetProjector(C)])
     est = disp.displacement_iterative(T, max_iter=max_iter, tol=iter_tol)

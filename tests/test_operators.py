@@ -356,14 +356,20 @@ def test_resolvent_oracle():
         np.testing.assert_allclose(jx + A(jx), x, atol=1e-12)
 
 
-def test_reflected_resolvent_is_exactly_two_j_minus_id():
+def test_reflected_resolvent_is_two_j_minus_id_as_an_affine_map():
     A = MonotoneAffine(np.zeros((2, 2)), [1.0, 0.0])
     R = ReflectedResolvent(A)
     np.testing.assert_allclose(R([0.0, 0.0]), [-2.0, 0.0])
+    R = ReflectedResolvent(MonotoneAffine([[2.0, 1.0], [-1.0, 0.5]], [0.3, -0.7]))
+    J = R.resolvent
+    assert np.array_equal(R.M, 2.0 * J.M - np.eye(2))  # bitwise: the pair is stored once
+    assert np.array_equal(R.b, 2.0 * J.b)
     rng = np.random.default_rng(1)
-    for _ in range(10):
-        x = rng.standard_normal(2)
-        assert np.array_equal(R(x), 2.0 * R.resolvent(x) - x)  # bitwise, not approx
+    for _ in range(100):
+        x = rng.standard_normal(2) * 10.0 ** rng.integers(-3, 3)
+        # Mx + b and 2 J(x) - x round differently, by a few ulps of 1 + |x|
+        ulp = np.spacing(1.0 + np.linalg.norm(x))
+        assert np.max(np.abs(R(x) - (2.0 * J(x) - x))) <= 8 * ulp
 
 
 def test_reflected_resolvent_regularity_from_cocoercivity():
@@ -560,6 +566,40 @@ def test_one_vector_keeps_its_matvec_arithmetic():
     op = random_averaged_affine(np.random.default_rng(24), 7)
     x = np.random.default_rng(25).standard_normal(7)
     assert np.array_equal(op._apply(x), op.M @ x + op.b)
+
+
+_AFFINE_LEAVES = ("resolvent", "reflected", "gradstep")
+
+
+@pytest.mark.parametrize("kind", _AFFINE_LEAVES)
+def test_an_affine_leaf_applies_its_stored_pair_bit_for_bit(kind):
+    op = _operator_cases()[kind]
+    # an AffineMap with no formula of its own
+    assert isinstance(op, AffineMap)
+    assert "_apply" not in vars(type(op)) and "_affine_pair" not in vars(type(op))
+    X = _stack()
+    assert op._apply(X[0]).tobytes() == (op.M @ X[0] + op.b).tobytes()
+    assert op._apply(X).tobytes() == (X @ op.M.T + op.b).tobytes()
+    assert op._affine_pair() == (op.M, op.b)
+
+
+@pytest.mark.parametrize("kind", _AFFINE_LEAVES)
+def test_an_affine_leaf_flattens_to_itself_without_probes(kind, monkeypatch):
+    def no_probes(dim):
+        raise AssertionError("an affine leaf has no formulas to cross-check")
+
+    monkeypatch.setattr(operators_mod, "_probe_stack", no_probes)
+    op = _operator_cases()[kind]
+    assert flatten_to_affine(op) is op
+
+
+@pytest.mark.parametrize("kind", _AFFINE_LEAVES)
+def test_an_affine_leaf_keeps_its_own_averagedness_certificate(kind, monkeypatch):
+    def no_svd(M, alpha):
+        raise AssertionError("an affine leaf certifies itself without the SVD")
+
+    monkeypatch.setattr(operators_mod, "_averaged_at", no_svd)
+    assert _operator_cases()[kind].is_averaged is True
 
 
 def _spread(rng, shape):

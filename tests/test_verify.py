@@ -8,11 +8,18 @@ from hypothesis import strategies as st
 from mdvkit import verify
 from mdvkit.displacement import displacement_range_affine
 from mdvkit.errors import ValidationError
-from mdvkit.numeric import AffineSubspace, minkowski_sum_affine
+from mdvkit.numeric import (
+    AffineSubspace,
+    as_matrix,
+    as_vector,
+    minkowski_sum_affine,
+    orthonormal_range_basis,
+)
 from mdvkit.operators import (
     AffineMap,
     Composition,
     ConvexCombination,
+    GradientStep,
     MonotoneAffine,
     ReflectedResolvent,
     SetProjector,
@@ -20,7 +27,7 @@ from mdvkit.operators import (
     flatten_to_affine,
 )
 from mdvkit.scenario import _CHECKS
-from mdvkit.sets import AffineSet, Halfspace, full_space
+from mdvkit.sets import AffineSet, Ball, Halfspace, full_space
 from mdvkit.verify import (
     CheckReport,
     builtin_suite,
@@ -42,6 +49,40 @@ from mdvkit.verify import (
     run_randomized_suite,
     suite_passed,
 )
+
+
+@pytest.mark.parametrize("tol", [float("nan"), -1.0, 0.0, float("inf"), "1e-9", True])
+def test_a_check_refuses_a_tol_that_is_not_positive_and_finite(tol):
+    with pytest.raises(ValidationError, match="tol must be positive and finite"):
+        check_range_formula_composition([AffineMap.identity(2)], tol=tol)
+
+
+_E1 = np.array([1.0, 0.0])
+_NON_NUMERIC = {
+    "vector-str": lambda: as_vector(["a"]),
+    "vector-ragged": lambda: as_vector([[1.0], [2.0, 3.0]]),
+    "vector-complex": lambda: as_vector([1j]),
+    "matrix-str": lambda: as_matrix([["a"]]),
+    "range-basis-str": lambda: orthonormal_range_basis([["a"]]),
+    "subspace-basis-str": lambda: AffineSubspace([0.0], [["a"]]),
+    "weights-str": lambda: ConvexCombination(["a"], [AffineMap.identity(2)]),
+    "radius-str": lambda: Ball(_E1, "x"),
+    "offset-str": lambda: Halfspace(_E1, "x"),
+    "step-str": lambda: GradientStep(np.eye(2), _E1, "x"),
+    "mu-str": lambda: check_cocoercive_averaged_equivalence(MonotoneAffine(np.eye(2), _E1), mu="x"),
+    "alpha-str": lambda: check_projected_gradient_bound(np.eye(2), _E1, full_space(2), "x"),
+    "L-str": lambda: check_projected_gradient_bound(np.eye(2), _E1, full_space(2), 1.0, L="x"),
+    "samples-str": lambda: check_cocoercive_averaged_equivalence(
+        MonotoneAffine(np.eye(2), _E1), samples="x"),
+    "samples-float": lambda: check_translation_formula(
+        MonotoneAffine(np.eye(2), _E1), MonotoneAffine(np.eye(2), _E1), _E1, samples=1.5),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_NON_NUMERIC))
+def test_input_that_is_not_a_real_number_is_a_validation_error(case):
+    with pytest.raises(ValidationError):
+        _NON_NUMERIC[case]()
 
 
 def _axis_projector(axis, dim=2):
