@@ -22,14 +22,13 @@ from .operators import (
     cocoercivity_modulus,
     flatten_to_affine,
 )
-from .sets import AffineSet, Ball, Box, ConvexSet, Halfspace, Singleton, full_space
+from .sets import Ball, Box, ConvexSet, Halfspace, full_space
 from .verify import CheckReport, builtin_suite, run_randomized_suite, suite_passed
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AffineMap",
-    "AffineSet",
     "AffineSubspace",
     "Ball",
     "Box",
@@ -46,7 +45,6 @@ __all__ = [
     "ReflectedResolvent",
     "Resolvent",
     "SetProjector",
-    "Singleton",
     "UnsupportedOperatorError",
     "ValidationError",
     "builtin_suite",

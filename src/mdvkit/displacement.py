@@ -21,13 +21,12 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NumericalError, UnsupportedOperatorError, ValidationError
-from .numeric import AffineSubspace, _rank, as_real, as_vector, orthonormal_range_basis
+from .numeric import AffineSubspace, _is_integer, _rank, as_real, as_vector, orthonormal_range_basis
 from .operators import Operator, _cover, flatten_to_affine
 
 EXACT_AFFINE = "exact_affine"
@@ -198,10 +197,6 @@ def displacement_iterative(
     certified = err <= tol
     return DisplacementEstimate(e, residual, spent, RESIDUAL_ITERATION, certified,
                                 err if certified else None)
-
-
-def _is_integer(n) -> bool:
-    return isinstance(n, numbers.Integral) and not isinstance(n, bool)
 
 
 def _check_budget(max_iter, tol) -> None:

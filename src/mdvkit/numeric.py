@@ -1,4 +1,4 @@
-"""Dense linear-algebra substrate: orthonormal range bases and affine subspaces.
+"""Dense linear-algebra substrate: range bases, convex sets, affine subspaces.
 
 Vectors are 1-d float64 arrays and matrices are 2-d row-major float64 arrays.
 Public entry points validate finiteness and dimensions; arrays held by
@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import numbers
+from abc import ABC, abstractmethod
 
 import numpy as np
 
@@ -48,10 +49,16 @@ def as_matrix(m, square: bool = False) -> np.ndarray:
 
 
 def _as_float_array(x, what: str) -> np.ndarray:
+    """``x`` as a float array, if its entries are all real numbers: strings,
+    bools, complex numbers, ragged rows and integers beyond 64 bits (an
+    object array) are refused rather than converted."""
     try:
-        return np.asarray(x, dtype=float)
-    except (TypeError, ValueError):  # non-numeric, complex or ragged input
-        raise ValidationError(f"expected a {what} of real numbers") from None
+        a = np.asarray(x)
+    except ValueError:  # ragged rows
+        a = None
+    if a is None or a.dtype.kind not in "fiu":
+        raise ValidationError(f"expected a {what} of real numbers")
+    return a.astype(float, copy=False)
 
 
 def as_real(x, what: str, positive: bool = False) -> float:
@@ -66,6 +73,11 @@ def as_real(x, what: str, positive: bool = False) -> float:
         if math.isfinite(v) and (v > 0.0 or not positive):
             return v
     raise ValidationError(f"{what} must be {'positive and ' if positive else ''}finite")
+
+
+def _is_integer(n) -> bool:
+    """Whether ``n`` is an integer (numpy integers included), not a bool."""
+    return isinstance(n, numbers.Integral) and not isinstance(n, bool)
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -106,11 +118,42 @@ def _rank(s: np.ndarray, tol: float = DEFAULT_RANK_TOL, floor: float = 0.0) -> i
     return int(np.count_nonzero(s > max(tol * s[0], floor)))
 
 
-class AffineSubspace:
+class ConvexSet(ABC):
+    """A nonempty closed convex subset of R^dim with an exact projector."""
+
+    __slots__ = ()
+
+    dim: int
+
+    def project(self, x) -> np.ndarray:
+        x = as_vector(x, self.dim)
+        return self._project(x)
+
+    @abstractmethod
+    def _project(self, x: np.ndarray) -> np.ndarray:
+        """Project one vector, or each row of an ``(n, dim)`` stack."""
+
+    def distance(self, x) -> float:
+        return self._distance(as_vector(x, self.dim))
+
+    def _distance(self, x: np.ndarray) -> float:
+        return float(np.linalg.norm(x - self._project(x)))
+
+    def _affine_projection(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """``(P, c)`` with ``project(x) == P @ x + c``, or None when not affine."""
+        return None
+
+    def _normal_rays(self) -> np.ndarray | None:
+        """Columns whose cone holds every ``x - project(x)`` (the polar of the
+        recession cone), or None for R^dim; affine sets flatten instead."""
+        return None
+
+
+class AffineSubspace(ConvexSet):
     """Affine subspace ``{base + span(basis columns)}`` of R^dim.
 
     ``basis`` holds mutually orthonormal columns; an empty basis represents a
-    singleton.  Instances are immutable.
+    single point.  Instances are immutable.
     """
 
     __slots__ = ("base", "basis")
@@ -158,20 +201,16 @@ class AffineSubspace:
     def rank(self) -> int:
         return self.basis.shape[1]
 
-    def project(self, y) -> np.ndarray:
-        """Orthogonal projection of ``y`` onto the subspace."""
-        return self._project(as_vector(y, self.dim))
-
     def _project(self, y: np.ndarray) -> np.ndarray:
         if self.rank == 0:
-            return self.base.copy()
+            return np.broadcast_to(self.base, y.shape).copy()
+        if y.ndim == 2:
+            return self.base + ((y - self.base) @ self.basis) @ self.basis.T
         return self.base + self.basis @ (self.basis.T @ (y - self.base))
 
-    def distance(self, y) -> float:
-        return self._distance(as_vector(y, self.dim))
-
-    def _distance(self, y: np.ndarray) -> float:
-        return float(np.linalg.norm(y - self._project(y)))
+    def _affine_projection(self):
+        P = self.basis @ self.basis.T
+        return P, self.base - P @ self.base
 
     def scaled(self, factor: float) -> "AffineSubspace":
         """The set ``{factor * s}``; for factor 0 this is the origin singleton."""

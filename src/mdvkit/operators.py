@@ -21,8 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .numeric import _frozen, as_matrix, as_real, as_vector
-from .sets import ConvexSet
+from .numeric import ConvexSet, _frozen, as_matrix, as_real, as_vector
 
 #: Spectral-norm slack accepted when validating nonexpansiveness.
 NORM_TOL = 1e-10

@@ -39,7 +39,7 @@ from .operators import (
     Resolvent,
     SetProjector,
 )
-from .sets import AffineSet, Ball, Box, Halfspace, Singleton
+from .sets import Ball, Box, Halfspace
 
 SCHEMA_VERSION = 1
 _FLOAT_FORMAT = ".17g"
@@ -186,7 +186,6 @@ class _Kind(NamedTuple):
 
     cls: type
     fields: dict | Callable
-    build: Callable | None = None
 
 
 #: Deepest nesting of grammar entries (operators, their sets and monotone maps):
@@ -210,7 +209,7 @@ def _build(spec: _Kind, node, path: str, dim):
     finally:
         _nesting.depth = depth
     try:
-        return (spec.build or spec.cls)(*args)
+        return spec.cls(*args)
     except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}") from exc
 
@@ -235,10 +234,8 @@ _SETS = {
     "box": _Kind(Box, {"lo": _vector, "hi": _vector}),
     "ball": _Kind(Ball, {"center": _vector, "radius": _number}),
     "halfspace": _Kind(Halfspace, {"normal": _vector, "offset": _number}),
-    "affine_subspace": _Kind(
-        AffineSet, {"base": _vector, "basis": _optional(_basis)},
-        build=lambda base, basis: AffineSet(AffineSubspace(base, basis))),
-    "singleton": _Kind(Singleton, {"point": _vector}),
+    "affine_subspace": _Kind(AffineSubspace, {"base": _vector, "basis": _optional(_basis)}),
+    "singleton": _Kind(AffineSubspace, {"point": _vector}),
 }
 _set = partial(_tagged, _SETS, "set")
 

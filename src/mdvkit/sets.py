@@ -1,41 +1,14 @@
-"""Closed convex sets with closed-form exact projectors."""
+"""Boxes, balls and halfspaces: convex sets with closed-form exact projectors.
+Affine sets and points are :class:`mdvkit.numeric.AffineSubspace`."""
 
 from __future__ import annotations
 
 import math
-from abc import ABC, abstractmethod
 
 import numpy as np
 
 from .errors import ValidationError
-from .numeric import AffineSubspace, as_real, as_vector
-
-
-class ConvexSet(ABC):
-    """A nonempty closed convex subset of R^dim with an exact projector."""
-
-    dim: int
-
-    def project(self, x) -> np.ndarray:
-        x = as_vector(x, self.dim)
-        return self._project(x)
-
-    @abstractmethod
-    def _project(self, x: np.ndarray) -> np.ndarray:
-        """Project one vector, or each row of an ``(n, dim)`` stack."""
-
-    def distance(self, x) -> float:
-        x = as_vector(x, self.dim)
-        return float(np.linalg.norm(x - self._project(x)))
-
-    def _affine_projection(self) -> tuple[np.ndarray, np.ndarray] | None:
-        """``(P, c)`` with ``project(x) == P @ x + c``, or None when not affine."""
-        return None
-
-    def _normal_rays(self) -> np.ndarray | None:
-        """Columns whose cone holds every ``x - project(x)`` (the polar of the
-        recession cone), or None for R^dim; affine sets flatten instead."""
-        return None
+from .numeric import AffineSubspace, ConvexSet, as_real, as_vector
 
 
 class Box(ConvexSet):
@@ -104,48 +77,8 @@ class Halfspace(ConvexSet):
         return f"Halfspace(dim={self.dim})"
 
 
-class AffineSet(ConvexSet):
-    """A closed affine subspace viewed as a convex set."""
-
-    def __init__(self, subspace: AffineSubspace):
-        if not isinstance(subspace, AffineSubspace):
-            raise ValidationError("AffineSet wraps an AffineSubspace")
-        self.subspace = subspace
-        self.dim = subspace.dim
-
-    def _project(self, x):
-        if x.ndim == 1:
-            return self.subspace._project(x)
-        base, basis = self.subspace.base, self.subspace.basis
-        return base + ((x - base) @ basis) @ basis.T
-
-    def _affine_projection(self):
-        P = self.subspace.basis @ self.subspace.basis.T
-        return P, self.subspace.base - P @ self.subspace.base
-
-    def __repr__(self):
-        return f"AffineSet(dim={self.dim}, rank={self.subspace.rank})"
-
-
-class Singleton(ConvexSet):
-    """A single point."""
-
-    def __init__(self, point):
-        self.point = as_vector(point)
-        self.dim = self.point.size
-
-    def _project(self, x):
-        return np.broadcast_to(self.point, x.shape).copy()
-
-    def _affine_projection(self):
-        return np.zeros((self.dim, self.dim)), self.point.copy()
-
-    def __repr__(self):
-        return f"Singleton(dim={self.dim})"
-
-
-def full_space(dim: int) -> AffineSet:
+def full_space(dim: int) -> AffineSubspace:
     """The whole ambient space (projection is the identity)."""
     if dim < 1:
         raise ValidationError("dimension must be positive")
-    return AffineSet(AffineSubspace(np.zeros(dim), np.eye(dim)))
+    return AffineSubspace(np.zeros(dim), np.eye(dim))

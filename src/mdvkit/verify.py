@@ -18,6 +18,7 @@ from . import displacement as disp
 from .errors import ValidationError
 from .numeric import (
     AffineSubspace,
+    _is_integer,
     affine_discrepancy,
     as_matrix,
     as_real,
@@ -141,7 +142,7 @@ def check_permutation_displacement(ops, sigma, tol: float = EXACT_TOL, seed: int
     """Minimal displacement vector is invariant under permuting the factors."""
     ops = _parts(ops, "check")
     sigma = list(sigma)
-    if not all(map(disp._is_integer, sigma)) or sorted(sigma) != list(range(len(ops))):
+    if not all(map(_is_integer, sigma)) or sorted(sigma) != list(range(len(ops))):
         raise ValidationError("sigma must be a permutation of the operator indices")
     sigma = [int(i) for i in sigma]
     met, notes = _composition_hypothesis(ops)
@@ -203,7 +204,7 @@ def check_three_op_closed_form(deltas, a, tol: float = 1e-10, seed: int = 0) -> 
     and zero otherwise.
     """
     deltas = list(deltas)
-    if len(deltas) != 3 or not all(disp._is_integer(d) and d in (-1, 0, 1) for d in deltas):
+    if len(deltas) != 3 or not all(_is_integer(d) and d in (-1, 0, 1) for d in deltas):
         raise ValidationError("deltas must be three values in {-1, 0, 1}")
     deltas = [int(d) for d in deltas]
     vecs = [as_vector(v) for v in a]
@@ -308,7 +309,7 @@ def check_cocoercive_averaged_equivalence(A: MonotoneAffine, mu: float | None = 
     """
     _monotone(A)
     mu = as_real(cocoercivity_modulus(A) if mu is None else mu, "mu", positive=True)
-    if not disp._is_integer(samples) or samples < 1:
+    if not _is_integer(samples) or samples < 1:
         raise ValidationError("samples must be an integer of at least one")
     Q = A.Q
     M = ReflectedResolvent(A).M
@@ -358,7 +359,7 @@ def check_translation_formula(A: MonotoneAffine, B: MonotoneAffine, y,
     """
     _monotone(A, B)
     y = as_vector(y, A.dim)
-    if not disp._is_integer(samples) or samples < 1:
+    if not _is_integer(samples) or samples < 1:
         raise ValidationError("samples must be an integer of at least one")
     shift = AffineMap.translation(y)
     left = flatten_to_affine(Composition([ReflectedResolvent(A.shift_output(y)),
@@ -521,6 +522,8 @@ def run_randomized_suite(dim: int = 5, m: int = 3, count: int = 10,
     structured averaged maps with rank-deficient displacement ranges.  Reports
     come back ordered canonically by check name then instance seed.
     """
+    if not all(map(_is_integer, (dim, m, count, seed))):
+        raise ValidationError("dim, m, count and seed must be integers")
     if m < 2:
         raise ValidationError("need at least two operators per composition")
     if count < 1 or dim < 2:
@@ -595,6 +598,10 @@ def builtin_suite(seed: int = 42, dim: int = 5, randomized_count: int = 100,
     randomized composition/combination/resolvent trials, iterative cyclic-norm
     trials on projector mixes, and the projected-gradient corollary cases.
     """
+    counts = (randomized_count, cyclic_count, closed_form_triples, cocoercive_count)
+    if not all(map(_is_integer, (seed, dim, *counts))) or min(counts) < 0:
+        raise ValidationError("seed and dim must be integers, and the section counts"
+                              " integers of at least zero")
     reports: list[CheckReport] = []
     e1 = np.array([1.0, 0.0])
     e2 = np.array([0.0, 1.0])
@@ -627,7 +634,8 @@ def builtin_suite(seed: int = 42, dim: int = 5, randomized_count: int = 100,
     per_m = {2: randomized_count - 2 * (randomized_count // 3),
              3: randomized_count // 3, 4: randomized_count // 3}
     for m, cnt in per_m.items():
-        reports.extend(run_randomized_suite(dim=dim, m=m, count=cnt, seed=seed + m))
+        if cnt:
+            reports.extend(run_randomized_suite(dim=dim, m=m, count=cnt, seed=seed + m))
 
     for idx in range(cyclic_count):
         rng_i = _instance_rng(seed, 20_000 + idx)

@@ -14,6 +14,8 @@ from mdvkit.numeric import (
     minkowski_sum_affine,
     orthonormal_range_basis,
 )
+from mdvkit.operators import AffineMap
+from mdvkit.sets import Box
 
 
 def test_as_vector_accepts_lists_and_checks_dim():
@@ -25,6 +27,27 @@ def test_as_vector_accepts_lists_and_checks_dim():
         as_vector([[1.0, 2.0]])
     with pytest.raises(ValidationError):
         as_vector([np.nan, 0.0])
+
+
+_NOT_REAL = {
+    "str-vector": lambda: as_vector(["1.5", "2"]),
+    "str-matrix": lambda: as_matrix([["1", "0"], ["0", "1"]]),
+    "str-affine-map": lambda: AffineMap([["1", "0"], ["0", "1"]], ["0", "0"]),
+    "str-box": lambda: Box(["0", "0"], ["1", "1"]),
+    "bytes": lambda: as_vector([b"1"]),
+    "bool": lambda: as_vector([True, False]),
+    "datetime64": lambda: as_vector(np.array(["2020-01-01"], dtype="datetime64[D]")),
+    "complex-array": lambda: as_vector(np.array([1 + 2j, 3])),
+    "complex-scalars": lambda: as_vector([np.complex128(1 + 2j), np.complex128(3)]),
+    "huge-int-vector": lambda: as_vector([10**400]),
+    "huge-int-matrix": lambda: as_matrix([[10**400]]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_NOT_REAL))
+def test_an_array_of_a_non_real_dtype_is_refused(case):
+    with pytest.raises(ValidationError, match="of real numbers"):
+        _NOT_REAL[case]()
 
 
 def test_as_matrix_square_check():

@@ -24,7 +24,7 @@ from mdvkit.operators import (
     flatten_to_affine,
 )
 from mdvkit import operators as operators_mod
-from mdvkit.sets import AffineSet, Ball, Box, Halfspace, Singleton
+from mdvkit.sets import Ball, Box, Halfspace
 from mdvkit.numeric import AffineSubspace, orthonormal_range_basis
 from mdvkit.scenario import _OPERATORS, _SETS
 from mdvkit.verify import (
@@ -226,7 +226,7 @@ def _bisection_with_norm2(M):
 def _line_projector(angle):
     """Projector onto the line through the origin at ``angle``: firmly nonexpansive, affine."""
     direction = np.array([[np.cos(angle)], [np.sin(angle)]])
-    return SetProjector(AffineSet(AffineSubspace(np.zeros(2), direction)))
+    return SetProjector(AffineSubspace(np.zeros(2), direction))
 
 
 @pytest.mark.parametrize(
@@ -298,7 +298,7 @@ def test_regularity_combination_weights_alphas():
     combo = ConvexCombination([0.5, 0.5], [p, g])
     assert combo.is_averaged
     assert _bisection_with_norm2(flatten_to_affine(combo).M) <= 0.5 + 1e-8
-    both_firm = ConvexCombination([0.25, 0.75], [p, SetProjector(Singleton([0.0, 0.0]))])
+    both_firm = ConvexCombination([0.25, 0.75], [p, SetProjector(AffineSubspace([0.0, 0.0]))])
     assert both_firm.is_averaged
     assert _bisection_with_norm2(flatten_to_affine(both_firm).M) <= 0.5 + 1e-8
 
@@ -437,7 +437,7 @@ def test_cocoercivity_skew_is_zero():
 
 
 def test_flatten_matches_direct_apply():
-    line = AffineSet(AffineSubspace(np.array([1.0, 0.0]), np.array([[0.0], [1.0]])))
+    line = AffineSubspace(np.array([1.0, 0.0]), np.array([[0.0], [1.0]]))
     ops = Composition([
         AffineMap.translation([0.25, -0.5]),
         SetProjector(line),
@@ -460,7 +460,7 @@ def test_flatten_returns_none_for_curved_sets():
 
 
 def test_flatten_singleton_projector_is_constant():
-    flat = flatten_to_affine(SetProjector(Singleton([2.0, 3.0])))
+    flat = flatten_to_affine(SetProjector(AffineSubspace([2.0, 3.0])))
     np.testing.assert_allclose(flat([-9.0, 4.0]), [2.0, 3.0])
     np.testing.assert_allclose(flat.M, np.zeros((2, 2)))
 
@@ -492,8 +492,8 @@ def _set_cases():
         "box": Box(-0.5 * np.ones(_DIM), np.ones(_DIM)),
         "ball": Ball(0.1 * rng.standard_normal(_DIM), 1.5),
         "halfspace": Halfspace(rng.standard_normal(_DIM), 0.3),
-        "affine_subspace": AffineSet(AffineSubspace(rng.standard_normal(_DIM), basis)),
-        "singleton": Singleton(rng.standard_normal(_DIM)),
+        "affine_subspace": AffineSubspace(rng.standard_normal(_DIM), basis),
+        "singleton": AffineSubspace(rng.standard_normal(_DIM)),
     }
 
 

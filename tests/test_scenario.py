@@ -111,6 +111,16 @@ def test_operator_grammar_all_kinds():
     assert np.all(np.isfinite(y))
 
 
+def test_affine_subspace_and_singleton_nodes_build_affine_subspaces():
+    line, point = (op.set for op in scenario_from_dict({"dim": 2, "operators": [
+        {"projector": {"affine_subspace": {"base": [1.0, 2.0], "basis": [[0.0, 3.0]]}}},
+        {"projector": {"singleton": {"point": [3.0, -0.0]}}},
+    ]}).operators)
+    assert type(line) is AffineSubspace and type(point) is AffineSubspace
+    assert line.base.tolist() == [1.0, 2.0] and line.basis.tolist() == [[0.0], [1.0]]
+    assert point.rank == 0 and point.base.tobytes() == np.array([3.0, -0.0]).tobytes()
+
+
 def test_run_scenario_checks_requires_parameters():
     scn = scenario_from_dict({
         "dim": 2, "seed": 1,

@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mdvkit.errors import ValidationError
-from mdvkit.numeric import AffineSubspace
-from mdvkit.sets import AffineSet, Ball, Box, Halfspace, Singleton, full_space
+from mdvkit.numeric import AffineSubspace, ConvexSet, orthonormal_range_basis
+from mdvkit.operators import SetProjector, flatten_to_affine
+from mdvkit.sets import Ball, Box, Halfspace, full_space
 
 
 def test_box_projection_clips():
@@ -60,18 +61,41 @@ def test_halfspace_projection():
 
 
 def test_affine_set_wraps_subspace():
-    line = AffineSet(AffineSubspace(np.array([1.0, 2.0]), np.array([[0.0], [1.0]])))
+    line = AffineSubspace(np.array([1.0, 2.0]), np.array([[0.0], [1.0]]))
     np.testing.assert_allclose(line.project([0.0, 0.0]), [1.0, 0.0])
     assert line.distance([1.0, 5.0]) <= 1e-8
 
 
 def test_singleton_and_full_space():
-    s = Singleton([2.0, -1.0])
+    s = AffineSubspace([2.0, -1.0])
     np.testing.assert_allclose(s.project([0.0, 0.0]), [2.0, -1.0])
     everything = full_space(3)
     y = np.array([4.0, -5.0, 6.0])
     np.testing.assert_allclose(everything.project(y), y)
     assert everything.distance(y) <= 1e-8
+
+
+def test_an_affine_subspace_is_an_immutable_convex_set_without_a_dict():
+    line = AffineSubspace([1.0, 2.0], [[0.0], [1.0]])
+    assert isinstance(line, ConvexSet)
+    assert not hasattr(line, "__dict__")
+    for name in ("base", "dim", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(line, name, np.zeros(2))
+
+
+def test_a_subspace_projector_flattens_to_the_projection_formula_bit_for_bit():
+    rng = np.random.default_rng(31)
+    base = rng.standard_normal(5)
+    basis = orthonormal_range_basis(rng.standard_normal((5, 2)))
+    P = basis @ basis.T
+    flat = flatten_to_affine(SetProjector(AffineSubspace(base, basis)))
+    assert flat.M.tobytes() == P.tobytes()
+    assert flat.b.tobytes() == (base - P @ base).tobytes()
+    point = np.array([1.5, -0.0, -2.0])
+    flat = flatten_to_affine(SetProjector(AffineSubspace(point)))
+    assert flat.M.tobytes() == np.zeros((3, 3)).tobytes()
+    assert flat.b.tobytes() == point.tobytes()
 
 
 def test_projection_validates_dimension():
@@ -84,12 +108,13 @@ _SETS = [
     Box([-1.0, -0.5], [0.5, 2.0]),
     Ball([0.3, -0.2], 1.5),
     Halfspace([1.0, -2.0], 0.7),
-    AffineSet(AffineSubspace(np.array([1.0, 0.0]), np.array([[0.0], [1.0]]))),
-    Singleton([0.1, 0.2]),
+    AffineSubspace(np.array([1.0, 0.0]), np.array([[0.0], [1.0]])),
+    AffineSubspace([0.1, 0.2]),
 ]
+_SET_IDS = ["Box", "Ball", "Halfspace", "AffineSet", "Singleton"]
 
 
-@pytest.mark.parametrize("set_", _SETS, ids=lambda s: type(s).__name__)
+@pytest.mark.parametrize("set_", _SETS, ids=_SET_IDS)
 @given(seed=st.integers(min_value=0, max_value=2**31 - 1))
 @settings(max_examples=50, deadline=None)
 def test_projector_is_firmly_nonexpansive(set_, seed):
@@ -101,7 +126,7 @@ def test_projector_is_firmly_nonexpansive(set_, seed):
     assert gap <= 1e-10
 
 
-@pytest.mark.parametrize("set_", _SETS, ids=lambda s: type(s).__name__)
+@pytest.mark.parametrize("set_", _SETS, ids=_SET_IDS)
 def test_projection_is_idempotent(set_):
     rng = np.random.default_rng(11)
     for _ in range(20):

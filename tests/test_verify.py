@@ -27,7 +27,7 @@ from mdvkit.operators import (
     flatten_to_affine,
 )
 from mdvkit.scenario import _CHECKS
-from mdvkit.sets import AffineSet, Ball, Halfspace, full_space
+from mdvkit.sets import Ball, Halfspace, full_space
 from mdvkit.verify import (
     CheckReport,
     builtin_suite,
@@ -88,7 +88,7 @@ def test_input_that_is_not_a_real_number_is_a_validation_error(case):
 def _axis_projector(axis, dim=2):
     basis = np.zeros((dim, 1))
     basis[axis, 0] = 1.0
-    return SetProjector(AffineSet(AffineSubspace(np.zeros(dim), basis)))
+    return SetProjector(AffineSubspace(np.zeros(dim), basis))
 
 
 def _reflection(u):
@@ -502,6 +502,20 @@ def test_randomized_suite_validation():
         run_randomized_suite(m=1)
     with pytest.raises(ValidationError):
         run_randomized_suite(count=0)
+
+
+def test_suite_runners_take_integer_counts_and_seeds_only():
+    for kwargs in ({"count": 2.5}, {"m": 2.5}, {"dim": 2.5}, {"count": "3"}, {"seed": 1.5}):
+        with pytest.raises(ValidationError, match="must be integers"):
+            run_randomized_suite(**kwargs)
+    for kwargs in ({"randomized_count": 2.5}, {"seed": "x"}, {"seed": 1.5}, {"dim": 5.0},
+                   {"cyclic_count": -1}, {"closed_form_triples": True}):
+        with pytest.raises(ValidationError, match="must be integers"):
+            builtin_suite(**kwargs)
+    # every section may be empty; the fixed rows remain
+    reports = builtin_suite(randomized_count=0, cyclic_count=0, closed_form_triples=0,
+                            cocoercive_count=0)
+    assert len(reports) == 5 and all(r.passed for r in reports if r.hypothesis_met)
 
 
 def test_builtin_suite_small_run_passes():
