@@ -14,7 +14,10 @@ relaxation ``(Id + T) / 2``, which is averaged and whose minimal displacement
 vector is half that of ``T`` (Baillon-Bruck-Reich 1978).
 The iteration stops once :func:`_error_bound` certifies a residual within
 ``tol`` of the vector, by the range calculus of compositions and convex
-combinations (:func:`mdvkit.operators._cover`).
+combinations (:func:`mdvkit.operators._cover`).  Where the paper's results
+make that calculus exact (:func:`mdvkit.operators._cover_exact`), the cover's
+point nearest the origin is the vector itself, so the error of a residual is
+known, linearly, and the run has no stall stop.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ import numpy as np
 
 from .errors import NumericalError, UnsupportedOperatorError, ValidationError
 from .numeric import AffineSubspace, _is_integer, _rank, as_real, as_vector, orthonormal_range_basis
-from .operators import Operator, _cover, flatten_to_affine
+from .operators import Operator, _cover, _cover_exact, flatten_to_affine
 
 EXACT_AFFINE = "exact_affine"
 RESIDUAL_ITERATION = "residual_iteration"
@@ -64,10 +67,11 @@ class DisplacementEstimate:
     of the vector from the cached displacement range, i.e. rounding only.
     ``error_bound`` is the bound that certified an iterative estimate ``e``
     within ``tol`` of the vector ``v``, rounding allowed for: ``|e|``,
-    ``|e - v|`` (flattenable maps) or ``sqrt(|e|^2 - |p|^2)`` (``p`` the
-    cover point); it is None otherwise, and reports do not carry it.  An
-    iterative estimate that converged without one was stall-stopped, which
-    happens only to maps that do not flatten to affine.
+    ``|e - v|`` (flattenable maps), ``|e - p|`` (``p`` the point of an exact
+    cover) or ``sqrt(|e|^2 - |p|^2)`` (``p`` the point of any other cover);
+    it is None otherwise, and reports do not carry it.  An iterative estimate
+    that converged without one was stall-stopped, which happens only to maps
+    that do not flatten to affine and whose cover gives no linear bound.
     """
 
     vector: np.ndarray
@@ -145,15 +149,19 @@ def displacement_iterative(
     converges to the minimal displacement vector.  The rest iterate the
     averaged ``T_half``, whose vector is half of ``T``'s, and report its
     residual doubled.  On quiet steps (successive estimates within ``tol``)
-    the run stops with ``error_bound`` set once ``|e|``, else
-    ``sqrt(|e|^2 - |p|^2)`` (``p`` the cover point), each with an allowance
-    for rounding, is at most ``tol``; the latter cannot read below about
+    the run stops with ``error_bound`` set once a bound, with an allowance for
+    rounding, is at most ``tol``: ``|e|``; else, where the range calculus is
+    exact and ``p`` (the cover point) is the vector, the linear
+    ``|e - p|``; else ``sqrt(|e|^2 - |p|^2)``, which cannot read below about
     ``sqrt(2 gamma) |p|``, ``gamma = 8 dim eps``.  Failing that, iteration
     stops once successive estimates stay within ``tol`` for 64 consecutive
-    steps, or after ``max_iter`` iterations.  The run
-    requirement guards against transient plateaus: piecewise-affine geometry
-    (projections onto boxes or halfspaces) can hold the residual exactly
-    constant for a stretch while the iterate is still sliding toward the limit.
+    steps, or after ``max_iter`` iterations.  The run requirement guards
+    against transient plateaus: piecewise-affine geometry (projections onto
+    boxes or halfspaces) can hold the residual exactly constant for a stretch
+    while the iterate is still sliding toward the limit.  Where the linear
+    bound applies and its rounding floor is below ``tol``, the exact error
+    is known, so there is no such stop: only a certificate or ``max_iter``
+    ends the run.
 
     Parameters
     ----------
@@ -211,10 +219,12 @@ def _check_finite(x: np.ndarray) -> None:
 
 
 def _cover_point(T: Operator, gamma: float):
-    """``(p, |p|, dp)`` for ``p`` the nearest point to the origin of a cover
-    with at most one ray outside its span, ``dp = gamma (|p| + |base|)`` its
-    rounding allowance; None (the origin, never farther out than the minimal
-    displacement vector) otherwise."""
+    """``(p, |p|, dp, exact)`` for ``p`` the nearest point to the origin of a
+    cover with at most one ray outside its span, ``dp = gamma (|p| + |base|)``
+    its rounding allowance, and ``exact`` whether the cover is the closed
+    range itself (:func:`mdvkit.operators._cover_exact`), so that ``p`` is the
+    minimal displacement vector; None (the origin, never farther out than the
+    vector) otherwise."""
     cover = _cover(T)
     if cover is None:
         return None
@@ -230,24 +240,27 @@ def _cover_point(T: Operator, gamma: float):
             return None  # about to be absorbed by the span, or lost to rounding
         base = base + max(0.0, -(a @ base) / (a @ a)) * a
     norm_p = _norm(base)
-    return base, norm_p, gamma * (norm_p + _norm(cover.base))
+    return base, norm_p, gamma * (norm_p + _norm(cover.base)), _cover_exact(T)
 
 
 def _error_bound(e, de, tol, point) -> float:
     """A bound on ``|e - v|`` for an estimate ``e`` computed within ``de`` of a
-    point of ``cl ran(Id - T)``, or inf; ``point()`` gives ``(p, |p|, dp)``
-    of the cover or None, and is read only when bound 1 fails.
+    point of ``cl ran(Id - T)``, or inf; ``point()`` gives ``(p, |p|, dp,
+    exact)`` of the cover or None, and is read only when bound 1 fails.
 
-    Bound 1 is ``|e| + 2 de``.  In bound 3, ``sqrt(|e|^2 - |p|^2)``, ``|p|``
-    may overshoot ``|v|`` by ``dp``, which puts ``2 (|p| dp + |e| de)`` under
-    the square root; where ``2 |p| dp`` alone exceeds ``tol^2`` the bound is
-    inf, and so is every later one of the run.  Bound 2 belongs to
-    flattenable maps.
+    Bound 1 is ``|e| + 2 de``.  Where the cover is exact, ``p`` is ``v`` up to
+    ``dp``, and the bound is the linear ``|e - p| + 2 de + dp``.  Otherwise,
+    in bound 3, ``sqrt(|e|^2 - |p|^2)``, ``|p|`` may overshoot ``|v|`` by
+    ``dp``, which puts ``2 (|p| dp + |e| de)`` under the square root; where
+    ``2 |p| dp`` alone exceeds ``tol^2`` the bound is inf, and so is every
+    later one of the run.  Bound 2 belongs to flattenable maps.
     """
     err = _norm(e)
     if err + 2.0 * de <= tol or (found := point()) is None:
         return err + 2.0 * de
-    p, norm_p, dp = found
+    p, norm_p, dp, exact = found
+    if exact:
+        return _norm(e - p) + 2.0 * de + dp
     if 2.0 * norm_p * dp > tol * tol:
         return math.inf
     d = e - p
@@ -295,7 +308,9 @@ def _affine_solve(T: Operator) -> tuple[AffineSubspace, np.ndarray]:
 
 def _residual_iteration(T, x, max_iter, tol, gamma) -> DisplacementEstimate:
     """Iterate ``T`` if averaged, else ``(Id + T) / 2`` with its residual
-    doubled, and stop on a quiet step that :func:`_error_bound` certifies."""
+    doubled, and stop on a quiet step that :func:`_error_bound` certifies, or
+    on a stall: ``_STALL_PATIENCE`` quiet steps in a row, unless the linear
+    bound of an exact cover can certify (its floor ``dp`` is below ``tol``)."""
     apply, sqrt = T._apply, math.sqrt  # locals: the loop pays for the map only
     scale = 1.0 if T.is_averaged else _KM_STEP
     step = apply if T.is_averaged else lambda v: v + scale * (apply(v) - v)
@@ -322,7 +337,10 @@ def _residual_iteration(T, x, max_iter, tol, gamma) -> DisplacementEstimate:
                                                 True, err)
                 certify = err < math.inf
             if stall >= patience:
-                break
+                *_, dp, exact = point() or (math.inf, False)  # read on a quiet step already
+                if not (exact and dp < tol):
+                    break
+                patience = max_iter + 1  # the exact error is known: no stall stop
         else:
             stall = 0
         if not iterations % check_every:

@@ -214,9 +214,7 @@ class AffineSubspace(ConvexSet):
 
     def scaled(self, factor: float) -> "AffineSubspace":
         """The set ``{factor * s}``; for factor 0 this is the origin singleton."""
-        factor = float(factor)
-        if not np.isfinite(factor):
-            raise ValidationError("scale factor must be finite")
+        factor = as_real(factor, "scale factor")
         if factor == 0.0:
             return AffineSubspace._computed(np.zeros(self.dim), np.zeros((self.dim, 0)))
         # as_vector refuses a base that overflowed

@@ -10,7 +10,8 @@ of the composition and convex-combination results: each leaf decides it
 from its own structure (one SVD for a general affine map that is not a
 translation), and a composition or convex combination is averaged when
 every part is.  :func:`_cover` bounds each operator's displacement range by
-the range calculus of the parts.
+the range calculus of the parts, and :func:`_cover_exact` says where that
+bound is the closed range itself.
 """
 
 from __future__ import annotations
@@ -495,3 +496,35 @@ def _cover(T: Operator) -> Cover | None:
     if (flat := flatten_to_affine(T)) is not None:
         return Cover(-flat.b, np.eye(T.dim) - flat.M, np.zeros((T.dim, 0)))
     return T._displacement_cover()
+
+
+def _composition_hypothesis(ops) -> tuple[bool, str]:
+    """Whether all but one of ``ops`` are averaged, the hypothesis of the
+    composition result, with a note saying why not."""
+    averaged = sum(1 for op in ops if op.is_averaged)
+    met = averaged >= len(ops) - 1
+    notes = "" if met else (
+        f"hypothesis unmet: only {averaged} of {len(ops)} operators certified averaged "
+        f"(need all but one)"
+    )
+    return met, notes
+
+
+def _cover_exact(T: Operator) -> bool:
+    """Whether :func:`_cover` is ``cl ran(Id - T)`` itself, not a superset.
+
+    It is for a map that flattens and for a projector (the closed cone of its
+    normals).  The closure of a composition's range is the sum of its parts'
+    when all but one part is averaged (the composition result), and a convex
+    combination's is the weighted sum when every part is (Brezis-Haraux);
+    either way only when every part's cover is exact.
+    """
+    if isinstance(T, SetProjector) or flatten_to_affine(T) is not None:
+        return True
+    if isinstance(T, Composition):
+        met = _composition_hypothesis(T.parts)[0]
+    elif isinstance(T, ConvexCombination):
+        met = T.is_averaged
+    else:
+        return False
+    return met and all(map(_cover_exact, T.parts))

@@ -8,7 +8,7 @@ import math
 import numpy as np
 
 from .errors import ValidationError
-from .numeric import AffineSubspace, ConvexSet, as_real, as_vector
+from .numeric import AffineSubspace, ConvexSet, _is_integer, as_real, as_vector
 
 
 class Box(ConvexSet):
@@ -79,6 +79,6 @@ class Halfspace(ConvexSet):
 
 def full_space(dim: int) -> AffineSubspace:
     """The whole ambient space (projection is the identity)."""
-    if dim < 1:
-        raise ValidationError("dimension must be positive")
+    if not _is_integer(dim) or dim < 1:
+        raise ValidationError("dimension must be an integer of at least one")
     return AffineSubspace(np.zeros(dim), np.eye(dim))

@@ -736,7 +736,9 @@ def test_cover_follows_the_leaf_table():
     # the cover point is the closed form max(0, a.t / |a|^2) a - t
     want = max(0.0, float(a @ t) / float(a @ a)) * a - t
     gamma = 8.0 * 3 * np.finfo(float).eps
-    p, norm_p, dp = disp_mod._cover_point(Composition([half, AffineMap.translation(t)]), gamma)
+    p, norm_p, dp, exact = disp_mod._cover_point(Composition([half, AffineMap.translation(t)]),
+                                                 gamma)
+    assert exact  # two averaged parts with exact covers: the cover point is the vector
     np.testing.assert_allclose(p, want, atol=1e-15)
     assert norm_p == pytest.approx(np.linalg.norm(want))
     assert dp == pytest.approx(gamma * (np.linalg.norm(want) + np.linalg.norm(t)))
@@ -800,9 +802,9 @@ def test_certified_exits_are_within_their_bound(seed, dim):
 
 @pytest.mark.parametrize("seed", range(8))
 def test_cover_point_bound_certifies_small_vectors(seed):
-    # bound 3 reads at least sqrt(2 |p| |dp|), |dp| ~ 8 dim eps (|p| + |t|),
-    # so it certifies only where that floor is below tol: a short translation
-    # (and a boundary through the start, or the iterate creeps toward it)
+    # the cover is exact, so the linear bound |e - p| + 2 de + dp certifies
+    # with no square-root floor: a short translation with the boundary through
+    # the start, and a long one
     rng = np.random.default_rng(seed)
     dim, tol = int(rng.integers(2, 6)), 1e-7
     a, t = rng.standard_normal(dim), 1e-3 * rng.standard_normal(dim)
@@ -812,9 +814,97 @@ def test_cover_point_bound_certifies_small_vectors(seed):
     est = displacement_iterative(T, max_iter=20_000, tol=tol)
     assert est.converged and est.iterations < disp_mod._STALL_PATIENCE
     assert np.linalg.norm(est.vector - want) <= est.error_bound <= tol
-    # at |t| ~ 1 the floor alone exceeds tol: no certificate, the stall stop
+    # at |t| ~ 1 bound 3's floor alone exceeds tol; the linear bound has none
     far = Composition([AffineMap.translation(1e3 * t), half])
-    assert displacement_iterative(far, max_iter=20_000, tol=tol).error_bound is None
+    est = displacement_iterative(far, max_iter=20_000, tol=tol)
+    want = max(0.0, float(a @ (1e3 * t)) / float(a @ a)) * a - 1e3 * t
+    assert est.converged and est.iterations < disp_mod._STALL_PATIENCE
+    assert np.linalg.norm(est.vector - want) <= est.error_bound <= tol
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), dim=st.integers(2, 50), first=st.booleans(),
+       scale=st.floats(-3.0, 3.0))
+def test_halfspace_translation_pipelines_are_certified_by_the_linear_bound(seed, dim, first,
+                                                                          scale):
+    # the start lies on the boundary, so no run creeps toward it for long
+    rng = np.random.default_rng(seed)
+    a, b = rng.standard_normal(dim), float(rng.standard_normal())
+    t = 10.0 ** scale * rng.standard_normal(dim)
+    half, push = SetProjector(Halfspace(a, b)), AffineMap.translation(t)
+    T = Composition([push, half] if first else [half, push])
+    tol = 1e-7
+    est = displacement_iterative(T, x0=(b / float(a @ a)) * a, max_iter=20_000, tol=tol)
+    want = max(0.0, float(a @ t) / float(a @ a)) * a - t
+    assert est.converged and est.error_bound is not None
+    assert np.linalg.norm(est.vector - want) <= est.error_bound <= tol
+
+
+def test_a_creeping_iterate_runs_past_the_stall_stop_to_a_certificate():
+    # a short translation, then a halfspace about one unit away: the residual
+    # stays exactly -t while the iterate creeps toward the boundary
+    rng = np.random.default_rng(1)
+    dim = int(rng.integers(2, 6))
+    a, t = rng.standard_normal(dim), 1e-3 * rng.standard_normal(dim)
+    T = Composition([AffineMap.translation(t),
+                     SetProjector(Halfspace(a, float(rng.standard_normal())))])
+    want = max(0.0, float(a @ t) / float(a @ a)) * a - t
+    est = displacement_iterative(T, max_iter=20_000, tol=1e-7)
+    assert est.iterations > disp_mod._STALL_PATIENCE and est.converged
+    assert np.linalg.norm(est.vector - want) <= est.error_bound <= 1e-7
+    # with no stall stop, a run the budget cuts short has not converged
+    cut = displacement_iterative(T, max_iter=200, tol=1e-7)
+    assert cut.iterations == 200 and not cut.converged and cut.error_bound is None
+
+
+def test_scenario_seed_32_op_9_is_certified():
+    # the benchmark's generated dim-5 scenario at seed 32, op[9]: a translation
+    # then a halfspace projector, at its estimator block
+    t = [0.34215703064954633, -0.7615203769601686, 0.38255981138637607,
+         -0.37963335502010265, 0.09118087149114873]
+    a = np.array([1.1129176413615611, -0.6304032464100511, -0.9988790849679828,
+                  1.3261056805973084, 0.2765376716417781])
+    x0 = [-0.07392704319099308, 0.03106591155140584, 0.0584396359808603,
+          0.07125693534234116, -0.1493667446074135]
+    T = Composition([AffineMap.translation(t), SetProjector(Halfspace(a, 0.14508932478507475))])
+    est = displacement_iterative(T, x0=x0, max_iter=20_000, tol=1e-7)
+    want = max(0.0, float(a @ t) / float(a @ a)) * a - np.array(t)
+    assert est.converged and est.error_bound <= 1e-7
+    assert np.linalg.norm(est.vector - want) <= 1e-10
+
+
+def _glide_reflection(u, d):
+    """``x -> H x + d``, ``H`` the reflection across the hyperplane normal to
+    ``u``: merely nonexpansive, with the displacement range ``-d + span u``."""
+    u = np.asarray(u, dtype=float) / np.linalg.norm(u)
+    return AffineMap(np.eye(u.size) - 2.0 * np.outer(u, u), d)
+
+
+def test_exactness_follows_the_composition_and_combination_hypotheses():
+    rng = np.random.default_rng(3)
+    dim = 4
+    half = SetProjector(Halfspace(rng.standard_normal(dim), 0.5))
+    r1, r2 = (_glide_reflection(rng.standard_normal(dim), rng.standard_normal(dim))
+              for _ in range(2))
+    assert not r1.is_averaged and operators_mod._cover_exact(r1)  # it flattens
+    assert operators_mod._cover_exact(half)
+    shift = AffineMap.translation(rng.standard_normal(dim))
+    assert operators_mod._cover_exact(Composition([shift, half, r1]))  # all but one averaged
+    assert operators_mod._cover_exact(ConvexCombination([0.5, 0.5], [shift, half]))
+    assert not operators_mod._cover_exact(ConvexCombination([0.5, 0.5], [r1, half]))
+    # two reflections around a projector: the hypothesis is unmet, so the
+    # cover is only a superset, and its point never gets the linear bound
+    T = Composition([r1, half, r2])
+    assert not operators_mod._composition_hypothesis(T.parts)[0]
+    assert not operators_mod._cover_exact(T)
+    assert not operators_mod._cover_exact(Composition([shift, T]))  # nor does a tree above it
+    gamma = 8.0 * dim * np.finfo(float).eps
+    found = disp_mod._cover_point(T, gamma)
+    p, norm_p, dp, exact = found
+    assert not exact and norm_p > 0.1
+    # at e = p the linear bound would read dp; bound 3's floor reads inf
+    assert disp_mod._error_bound(p, 0.0, 1e-9, lambda: found) == math.inf
+    assert disp_mod._error_bound(p, 0.0, 1e-9, lambda: (p, norm_p, dp, True)) == dp
 
 
 def _residual_route_pipelines(dim, translate=AffineMap.translation):
@@ -840,13 +930,14 @@ def _residual_route_pipelines(dim, translate=AffineMap.translation):
 
 
 #: (iterations, converged, certified) of each pipeline at max_iter 20 000, tol
-#: 1e-7, as computed before translations, projectors and the loop took their
-#: fast paths: 4 halfspace-translation stall stops, then the mixes.
+#: 1e-7: 4 halfspace-translation pipelines, certified by the linear bound of
+#: their exact covers, then the mixes, as computed before translations,
+#: projectors and the loop took their fast paths.
 _PINNED = {
-    5: [(65, True, False), (65, True, False), (65, True, False), (66, True, False),
+    5: [(2, True, True), (2, True, True), (2, True, True), (3, True, True),
         (30, True, True), (35, True, True), (40, True, True), (42, True, True),
         (62, True, True), (74, True, False)],
-    50: [(64, True, False), (66, True, False), (65, True, False), (64, True, False),
+    50: [(1, True, True), (3, True, True), (2, True, True), (1, True, True),
          (24, True, True), (16, True, True), (384, True, True), (25, True, True),
          (25, True, True), (152, True, False)],
 }

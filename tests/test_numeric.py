@@ -126,6 +126,13 @@ def test_scaled():
     np.testing.assert_allclose(collapsed.base, [0.0, 0.0])
 
 
+@pytest.mark.parametrize("factor", ["2", True, None, [2.0], np.inf, np.nan])
+def test_scaled_refuses_a_factor_that_is_not_a_finite_real(factor):
+    line = AffineSubspace(np.array([1.0, 2.0]), np.array([[0.0], [1.0]]))
+    with pytest.raises(ValidationError, match="scale factor must be finite"):
+        line.scaled(factor)
+
+
 def test_minkowski_sum_of_axes_is_plane():
     x_axis = AffineSubspace(np.zeros(2), np.array([[1.0], [0.0]]))
     y_axis = AffineSubspace(np.array([0.5, 0.0]), np.array([[0.0], [1.0]]))

@@ -165,8 +165,8 @@ def test_zero_sum_corollary_takes_the_estimator_block(monkeypatch):
         "estimator": {"max_iter": 9, "tol": 1e-12},
     })
     seen = []
-    estimate = disp_mod.minimal_displacement
-    monkeypatch.setattr(disp_mod, "minimal_displacement",
+    estimate = disp_mod.displacement_iterative
+    monkeypatch.setattr(disp_mod, "displacement_iterative",
                         lambda T, **kw: seen.append(kw) or estimate(T, **kw))
     report, = run_scenario_checks(scn)
     assert report.passed

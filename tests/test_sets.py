@@ -75,6 +75,16 @@ def test_singleton_and_full_space():
     assert everything.distance(y) <= 1e-8
 
 
+@pytest.mark.parametrize("dim", [2.5, True, "3", 0, -1, None, np.float64(3.0)])
+def test_full_space_refuses_a_dim_that_is_not_an_integer_of_at_least_one(dim):
+    with pytest.raises(ValidationError, match="integer of at least one"):
+        full_space(dim)
+
+
+def test_full_space_takes_a_numpy_integer():
+    assert full_space(np.int64(3)).rank == 3
+
+
 def test_an_affine_subspace_is_an_immutable_convex_set_without_a_dict():
     line = AffineSubspace([1.0, 2.0], [[0.0], [1.0]])
     assert isinstance(line, ConvexSet)

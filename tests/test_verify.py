@@ -1,11 +1,13 @@
 """The check battery: report invariants, hand-verified cases, suite behavior."""
 
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mdvkit import verify
+from mdvkit import displacement, verify
 from mdvkit.displacement import displacement_range_affine
 from mdvkit.errors import ValidationError
 from mdvkit.numeric import (
@@ -26,7 +28,7 @@ from mdvkit.operators import (
     cocoercivity_modulus,
     flatten_to_affine,
 )
-from mdvkit.scenario import _CHECKS
+from mdvkit.scenario import _CHECKS, load_scenario, run_scenario_checks
 from mdvkit.sets import Ball, Halfspace, full_space
 from mdvkit.verify import (
     CheckReport,
@@ -590,3 +592,26 @@ def test_composition_displacements_lie_in_minkowski_sum(seed):
     for _ in range(5):
         x = rng.standard_normal(3)
         assert total.distance(x - comp(x)) <= 1e-8
+
+
+def test_every_check_estimates_without_minimal_displacement(monkeypatch):
+    # the checks compare evaluated estimates: the exact route or the iterative
+    # one, never an answer read off the range calculus they test
+    def refuse(*args, **kwargs):
+        raise AssertionError("a check called minimal_displacement")
+
+    monkeypatch.setattr(displacement, "minimal_displacement", refuse)
+    reports = builtin_suite(seed=7, randomized_count=6, cyclic_count=2,
+                            closed_form_triples=1, cocoercive_count=3)
+    assert suite_passed(reports)
+    assert {r.check_name for r in reports} >= set(_CHECKS)
+    shipped = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios")
+    for name in sorted(os.listdir(shipped)):
+        assert suite_passed(run_scenario_checks(load_scenario(os.path.join(shipped, name))))
+    # non-affine parts take the iterative route in both combination checks
+    parts = [Composition([AffineMap.translation([0.3, 0.1]),
+                          SetProjector(Halfspace([1.0, 0.0], 0.0))]),
+             SetProjector(Ball([0.0, 0.0], 1.0))]
+    assert check_convex_combination(parts, [0.5, 0.5], tol=1e-6).passed
+    shifts = [AffineMap.translation([0.2, 0.0]), AffineMap.translation([-0.2, 0.0])]
+    assert check_zero_sum_corollary(shifts, [0.5, 0.5]).passed
