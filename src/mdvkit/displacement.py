@@ -14,8 +14,8 @@ relaxation ``(Id + T) / 2``, which is averaged and whose minimal displacement
 vector is half that of ``T`` (Baillon-Bruck-Reich 1978).
 The iteration stops once :func:`_error_bound` certifies a residual within
 ``tol`` of the vector, by the range calculus of compositions and convex
-combinations (:func:`mdvkit.operators._cover`).  Where the paper's results
-make that calculus exact (:func:`mdvkit.operators._cover_exact`), the cover's
+combinations (:func:`mdvkit.operators._cover`).  Each cover states its own
+exactness: where the paper's results make that calculus exact, the cover's
 point nearest the origin is the vector itself, so the error of a residual is
 known, linearly, and the run has no stall stop.
 """
@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import NumericalError, UnsupportedOperatorError, ValidationError
 from .numeric import AffineSubspace, _is_integer, _rank, as_real, as_vector, orthonormal_range_basis
-from .operators import Operator, _cover, _cover_exact, flatten_to_affine
+from .operators import Operator, _cover, flatten_to_affine
 
 EXACT_AFFINE = "exact_affine"
 RESIDUAL_ITERATION = "residual_iteration"
@@ -221,10 +221,9 @@ def _check_finite(x: np.ndarray) -> None:
 def _cover_point(T: Operator, gamma: float):
     """``(p, |p|, dp, exact)`` for ``p`` the nearest point to the origin of a
     cover with at most one ray outside its span, ``dp = gamma (|p| + |base|)``
-    its rounding allowance, and ``exact`` whether the cover is the closed
-    range itself (:func:`mdvkit.operators._cover_exact`), so that ``p`` is the
-    minimal displacement vector; None (the origin, never farther out than the
-    vector) otherwise."""
+    its rounding allowance, and ``exact`` the cover's own statement that it is
+    the closed range itself, so that ``p`` is the minimal displacement
+    vector; None (the origin, never farther out than the vector) otherwise."""
     cover = _cover(T)
     if cover is None:
         return None
@@ -240,7 +239,7 @@ def _cover_point(T: Operator, gamma: float):
             return None  # about to be absorbed by the span, or lost to rounding
         base = base + max(0.0, -(a @ base) / (a @ a)) * a
     norm_p = _norm(base)
-    return base, norm_p, gamma * (norm_p + _norm(cover.base)), _cover_exact(T)
+    return base, norm_p, gamma * (norm_p + _norm(cover.base)), cover.exact
 
 
 def _error_bound(e, de, tol, point) -> float:

@@ -97,6 +97,11 @@ def orthonormal_range_basis(M, tol: float = DEFAULT_RANK_TOL,
     which matters when ``M`` itself is rounding noise (all entries ~1e-16) and
     the relative test alone would keep every direction.  A zero matrix yields
     a ``(rows, 0)`` array.
+
+    ``floor`` defaults to 0, not to the exact route's ``128 eps dim``: that
+    floor presumes entries of order one, as in ``I - M`` for ``|M| <= 1``,
+    while the default callers (a monotone operator's ``Q``, a scenario
+    basis) have no such scale, and only the relative cutoff is scale-free.
     """
     M = _as_float_array(M, "matrix")
     if M.ndim != 2 or M.shape[0] == 0:
@@ -225,7 +230,13 @@ class AffineSubspace(ConvexSet):
 
 
 def minkowski_sum_affine(s1: AffineSubspace, s2: AffineSubspace) -> AffineSubspace:
-    """Minkowski sum of two affine subspaces (always closed in finite dimension)."""
+    """Minkowski sum of two affine subspaces (always closed in finite dimension).
+
+    The stacked columns are two orthonormal bases, so the largest singular
+    value is at least 1 and the relative cutoff 1e-10 drops all that the
+    exact route's floor ``128 eps dim`` would (below dim 3500); no floor is
+    passed.
+    """
     if s1.dim != s2.dim:
         raise ValidationError(f"ambient dimension mismatch: {s1.dim} vs {s2.dim}")
     stacked = np.hstack((s1.basis, s2.basis))

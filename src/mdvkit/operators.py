@@ -10,8 +10,8 @@ of the composition and convex-combination results: each leaf decides it
 from its own structure (one SVD for a general affine map that is not a
 translation), and a composition or convex combination is averaged when
 every part is.  :func:`_cover` bounds each operator's displacement range by
-the range calculus of the parts, and :func:`_cover_exact` says where that
-bound is the closed range itself.
+the range calculus of the parts, and each :class:`Cover` states its own
+exactness: whether that bound is the closed range itself.
 """
 
 from __future__ import annotations
@@ -121,23 +121,34 @@ class MonotoneAffine:
 
 class Cover(NamedTuple):
     """``base + span(span columns) + cone(rays columns)``, a closed convex
-    superset of a displacement range; None stands for all of R^dim."""
+    superset of a displacement range; None stands for all of R^dim.
+
+    ``exact`` says whether it is ``cl ran(Id - T)`` itself, not a superset.
+    It is for a map that flattens and for a projector (the closed cone of its
+    normals).  The closure of a composition's range is the sum of its parts'
+    when all but one part is averaged (the composition result), and a convex
+    combination's is the weighted sum when every part is (Brezis-Haraux);
+    either way only when every part's cover is exact.
+    """
 
     base: np.ndarray
     span: np.ndarray
     rays: np.ndarray
+    exact: bool
 
     @staticmethod
-    def weighted_sum(parts, weights) -> "Cover | None":
+    def weighted_sum(parts, weights, exact: bool) -> "Cover | None":
         """``sum_i w_i _cover(part_i)`` for ``w_i > 0`` (subspaces and cones
-        absorb ``w_i``); None from the first part whose cover is None on."""
+        absorb ``w_i``), exact when ``exact`` (the sum rule holds) and every
+        part's cover is; None from the first part whose cover is None on."""
         covers = []
         for part in parts:
             if (c := _cover(part)) is None:
                 return None
             covers.append(c)
         return Cover(sum(w * c.base for w, c in zip(weights, covers)),
-                     np.hstack([c.span for c in covers]), np.hstack([c.rays for c in covers]))
+                     np.hstack([c.span for c in covers]), np.hstack([c.rays for c in covers]),
+                     exact and all(c.exact for c in covers))
 
 
 class Operator:
@@ -250,7 +261,8 @@ class SetProjector(Operator):
 
     def _displacement_cover(self):
         rays = self.set._normal_rays()
-        return None if rays is None else Cover(np.zeros(self.dim), np.zeros((self.dim, 0)), rays)
+        return None if rays is None else Cover(np.zeros(self.dim), np.zeros((self.dim, 0)), rays,
+                                               True)
 
     is_averaged = True  # firmly nonexpansive
 
@@ -271,7 +283,17 @@ class GradientStep(AffineMap):
     """
 
     def __init__(self, Q, q, step):
-        A = MonotoneAffine(Q, q)
+        self._take(MonotoneAffine(Q, q), step)
+
+    @classmethod
+    def _of(cls, A: MonotoneAffine, step) -> "GradientStep":
+        """The step map of an already validated ``A``, whose ``Q``, ``q`` and
+        spectrum of sym(Q) it takes as they are: no second eigendecomposition."""
+        self = cls.__new__(cls)
+        self._take(A, step)
+        return self
+
+    def _take(self, A: MonotoneAffine, step) -> None:
         if np.max(np.abs(A.Q - A.Q.T)) > NORM_TOL:
             raise ValidationError("gradient step requires a symmetric Q")
         step = as_real(step, "step", positive=True)
@@ -367,7 +389,8 @@ class Composition(Operator):
 
     def _displacement_cover(self):
         # x - T_m..T_1 x telescopes into the parts' displacements along the orbit
-        return Cover.weighted_sum(self.parts, np.ones(len(self.parts)))
+        return Cover.weighted_sum(self.parts, np.ones(len(self.parts)),
+                                  _composition_hypothesis(self.parts)[0])
 
     @cached_property
     def is_averaged(self):
@@ -411,7 +434,7 @@ class ConvexCombination(Operator):
 
     def _displacement_cover(self):
         # x - sum w_i T_i x = sum w_i (x - T_i x)
-        return Cover.weighted_sum(self.parts, self.weights)
+        return Cover.weighted_sum(self.parts, self.weights, self.is_averaged)
 
     is_averaged = Composition.is_averaged  # averaged iff every part is
 
@@ -494,7 +517,7 @@ def _cover(T: Operator) -> Cover | None:
     exact when ``T`` flattens to ``x -> Mx + b``: ``-b + ran(I - M)``, left
     unfactored until the whole cover is known to be a proper set."""
     if (flat := flatten_to_affine(T)) is not None:
-        return Cover(-flat.b, np.eye(T.dim) - flat.M, np.zeros((T.dim, 0)))
+        return Cover(-flat.b, np.eye(T.dim) - flat.M, np.zeros((T.dim, 0)), True)
     return T._displacement_cover()
 
 
@@ -509,22 +532,3 @@ def _composition_hypothesis(ops) -> tuple[bool, str]:
     )
     return met, notes
 
-
-def _cover_exact(T: Operator) -> bool:
-    """Whether :func:`_cover` is ``cl ran(Id - T)`` itself, not a superset.
-
-    It is for a map that flattens and for a projector (the closed cone of its
-    normals).  The closure of a composition's range is the sum of its parts'
-    when all but one part is averaged (the composition result), and a convex
-    combination's is the weighted sum when every part is (Brezis-Haraux);
-    either way only when every part's cover is exact.
-    """
-    if isinstance(T, SetProjector) or flatten_to_affine(T) is not None:
-        return True
-    if isinstance(T, Composition):
-        met = _composition_hypothesis(T.parts)[0]
-    elif isinstance(T, ConvexCombination):
-        met = T.is_averaged
-    else:
-        return False
-    return met and all(map(_cover_exact, T.parts))

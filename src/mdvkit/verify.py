@@ -20,7 +20,6 @@ from .numeric import (
     AffineSubspace,
     _is_integer,
     affine_discrepancy,
-    as_matrix,
     as_real,
     as_vector,
     minkowski_sum_affine,
@@ -272,15 +271,21 @@ def check_convex_combination(ops, weights, tol: float = EXACT_TOL, seed: int = 0
 def check_zero_sum_corollary(ops, weights, tol: float = 1e-8, seed: int = 0,
                              max_iter: int = disp.DEFAULT_MAX_ITER,
                              iter_tol: float = disp.DEFAULT_TOL) -> CheckReport:
-    """If the weighted part mdvs cancel, the combination's mdv vanishes."""
+    """If the weighted part mdvs cancel, the combination's mdv vanishes.
+
+    The cancellation is judged within 1e-10 plus the parts' certified
+    ``error_bound``s, weighted as :func:`check_convex_combination` weights
+    its slack: estimates that cancel only within their bounds still meet it.
+    """
     ops = _parts(ops, "check")
     weights = as_vector(weights, len(ops))
-    mdvs = [_estimate(op, max_iter, iter_tol).vector for op in ops]
+    ests = [_estimate(op, max_iter, iter_tol) for op in ops]
     cancel = np.zeros(ops[0].dim)
-    for w, v in zip(weights, mdvs):
-        cancel += w * v
+    for w, est in zip(weights, ests):
+        cancel += w * est.vector
     cancel_norm = float(np.linalg.norm(cancel))
-    met = cancel_norm <= 1e-10
+    slack = sum(float(w) * (est.error_bound or 0.0) for w, est in zip(weights, ests))
+    met = cancel_norm <= 1e-10 + slack
     notes = "" if met else (
         f"hypothesis unmet: weighted mdvs sum to norm {cancel_norm:.3e}, expected 0"
     )
@@ -353,8 +358,11 @@ def check_translation_formula(A: MonotoneAffine, B: MonotoneAffine, y,
     where ``A' = A(.) - y`` and ``B' = B(. - y)``, which is the displacement
     identity ``x - R_B' R_A' x = -2y + (x+y) - R_B R_A (x+y)``.  Both sides
     are affine, so comparing their flattened ``(M, b)`` decides it; the
-    discrepancy is ``max(max |dM|, |db|)``.  ``samples`` must be a positive
-    integer and no longer changes the answer.
+    discrepancy is ``max(max |dM|, |db|)``.  ``max_matrix_error`` is 0 by
+    construction: a shift leaves ``Q``, so both sides multiply the same
+    ``2K - I`` factors bit for bit, and ``offset_error`` carries the
+    identity's content.  ``samples`` must be a positive integer and no longer
+    changes the answer.
     """
     _monotone(A, B)
     y = as_vector(y, A.dim)
@@ -399,21 +407,20 @@ def check_projected_gradient_bound(Q, q, C: ConvexSet, alpha: float,
     is at most ``(alpha/L) inf ||grad f||``, the infimum being the exact
     distance from ``-q`` to the column space of ``Q``.
     """
-    Q = as_matrix(Q, square=True)
-    q = as_vector(q, Q.shape[0])
+    A = MonotoneAffine(Q, q)  # one eigendecomposition of sym(Q): L's and the step's
     alpha = as_real(alpha, "alpha")
     if not (0.0 < alpha < 2.0):
         raise ValidationError("alpha must lie in (0, 2)")
     if L is None:
-        L = float(np.linalg.eigvalsh((Q + Q.T) / 2.0)[-1])
+        L = float(A._sym_eigvals[-1])
         if L <= 0.0:
             raise ValidationError("flat objective: supply the Lipschitz constant L explicitly")
     L = as_real(L, "L", positive=True)
     step = alpha / L
-    T = Composition([GradientStep(Q, q, step), SetProjector(C)])
+    T = Composition([GradientStep._of(A, step), SetProjector(C)])
     est = disp.displacement_iterative(T, max_iter=max_iter, tol=iter_tol)
-    sol, *_ = np.linalg.lstsq(Q, -q, rcond=None)
-    inf_grad = float(np.linalg.norm(Q @ sol + q))
+    sol, *_ = np.linalg.lstsq(A.Q, -A.q, rcond=None)
+    inf_grad = float(np.linalg.norm(A.Q @ sol + A.q))
     bound = step * inf_grad
     d = max(0.0, est.norm - bound)
     return _make("projected_gradient_bound", est.norm, bound, d, tol,

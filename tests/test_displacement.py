@@ -886,18 +886,25 @@ def test_exactness_follows_the_composition_and_combination_hypotheses():
     half = SetProjector(Halfspace(rng.standard_normal(dim), 0.5))
     r1, r2 = (_glide_reflection(rng.standard_normal(dim), rng.standard_normal(dim))
               for _ in range(2))
-    assert not r1.is_averaged and operators_mod._cover_exact(r1)  # it flattens
-    assert operators_mod._cover_exact(half)
+    assert not r1.is_averaged and operators_mod._cover(r1).exact  # it flattens
+    assert operators_mod._cover(half).exact
     shift = AffineMap.translation(rng.standard_normal(dim))
-    assert operators_mod._cover_exact(Composition([shift, half, r1]))  # all but one averaged
-    assert operators_mod._cover_exact(ConvexCombination([0.5, 0.5], [shift, half]))
-    assert not operators_mod._cover_exact(ConvexCombination([0.5, 0.5], [r1, half]))
+    assert operators_mod._cover(Composition([shift, half, r1])).exact  # all but one averaged
+    assert operators_mod._cover(ConvexCombination([0.5, 0.5], [shift, half])).exact
+    assert not operators_mod._cover(ConvexCombination([0.5, 0.5], [r1, half])).exact
     # two reflections around a projector: the hypothesis is unmet, so the
     # cover is only a superset, and its point never gets the linear bound
     T = Composition([r1, half, r2])
     assert not operators_mod._composition_hypothesis(T.parts)[0]
-    assert not operators_mod._cover_exact(T)
-    assert not operators_mod._cover_exact(Composition([shift, T]))  # nor does a tree above it
+    assert not operators_mod._cover(T).exact
+    assert not operators_mod._cover(Composition([shift, T])).exact  # nor does a tree above it
+    # a combination over it has a proper cover, decided inexact below its top
+    other = SetProjector(Halfspace(rng.standard_normal(dim), 0.2))
+    combo = ConvexCombination([0.5, 0.5], [T, other])
+    assert (cover := operators_mod._cover(combo)) is not None and not cover.exact
+    assert not operators_mod._cover(Composition([shift, combo])).exact
+    met = Composition([half, shift])  # the same place taken by an averaged composition
+    assert operators_mod._cover(ConvexCombination([0.5, 0.5], [met, half])).exact
     gamma = 8.0 * dim * np.finfo(float).eps
     found = disp_mod._cover_point(T, gamma)
     p, norm_p, dp, exact = found

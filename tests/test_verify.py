@@ -343,6 +343,20 @@ def test_zero_sum_corollary_met_and_unmet():
     assert not rep2.hypothesis_met
 
 
+def _spiral_into_ball(theta, c):
+    """``P_B(0.9 R_theta x + c)`` for the radius-2 ball ``B``: bounded range,
+    so ``v = 0``, reached linearly, and no flattening (a ball projector)."""
+    R = 0.9 * np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
+    return Composition([AffineMap(R, c), SetProjector(Ball([0.0, 0.0], 2.0))])
+
+
+def test_zero_sum_hypothesis_allows_for_the_parts_certified_bounds():
+    ops = [_spiral_into_ball(1.0, [0.1, 0.2]), _spiral_into_ball(-0.7, [-0.3, 0.05])]
+    rep = check_zero_sum_corollary(ops, [0.5, 0.5], tol=1e-5, max_iter=10_000, iter_tol=1e-6)
+    # both true vectors are 0; the certified estimates cancel only within their bounds
+    assert rep.witness["weighted_mdv_sum_norm"] > 1e-10
+    assert rep.hypothesis_met and rep.notes == "" and rep.passed
+
 def test_cocoercive_check_fails_a_modulus_that_sampling_passes():
     # e1 violates <d, Qd> >= mu |Qd|^2 by 1e-6, a direction 1000 Gaussian
     # samples almost never come close enough to for the slack to go negative
@@ -482,6 +496,21 @@ def test_projected_gradient_halfspace_admits_zero_displacement():
     with pytest.raises(ValidationError):
         check_projected_gradient_bound(np.eye(2), [1.0, 0.0], full_space(2), alpha=2.5)
 
+
+@pytest.mark.parametrize("L", [None, 2.0])
+def test_projected_gradient_decomposes_sym_q_once(monkeypatch, L):
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(a, *args, **kwargs):
+        calls.append(a)
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    Q = np.array([[2.0, 0.5], [0.5, 1.0]])
+    rep = check_projected_gradient_bound(Q, [1.0, -1.0], Halfspace([1.0, 0.0], 0.0),
+                                         alpha=1.0, L=L, tol=1e-4)
+    assert rep.passed and len(calls) == 1  # L's default and the step's check share it
 
 # ---------------------------------------------------------------------------
 # suites
